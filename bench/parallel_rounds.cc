@@ -10,7 +10,7 @@
 //       [--rounds=1500] [--workers=8] [--k=8] [--seed=42]
 //
 // Determinism check mode (the CI smoke): workers 1 vs 4, pipelined and
-// serial epilogue, every scheduler — including the sharded-leader
+// one-partition epilogue, every scheduler — including the sharded-leader
 // "bds_sharded" (color_leaders = 4) and multi-root "fds_multiroot"
 // (top_roots = 3) configurations — on small configs; asserts every
 // SimResult bit-identical and exits 0:
@@ -35,8 +35,9 @@
 // Phase-timing mode (the pipelined-epilogue before/after record): times
 // generate / inject / BeginRound / StepShard / flush / finish / sample
 // separately and reports each config's serial share, with the pipelined
-// epilogue off ("before": EndRound fully serial) and on ("after":
-// destination-partitioned flush overlapped with next-round generation):
+// epilogue off ("before": one flush partition inline on the driving
+// thread) and on ("after": destination-partitioned flush on the pool,
+// overlapped with next-round generation):
 //   build/bench/parallel_rounds --phases [--smoke] [--rounds=300]
 //       [--rho=0.15] [--b=3000] [--radius=8] [--json=BENCH_pipeline.json]
 //
@@ -182,13 +183,16 @@ double RootLeaderImbalance(const TimedRun& run) {
   return static_cast<double>(max_in) / mean;
 }
 
-/// Fraction of the run the driving thread spent outside the two phases
-/// that scale with workers (the StepShard fan-out and the partitioned
-/// flush window) — the Amdahl serial share of one round.
-double SerialShare(const core::PhaseTimes& phases) {
+/// Fraction of the run the driving thread spent outside the phases that
+/// scale with workers — the StepShard fan-out and, when the epilogue is
+/// pipelined, the pooled flush window (unpipelined, the flush is one
+/// inline partition and counts as serial) — the Amdahl serial share of
+/// one round.
+double SerialShare(const core::PhaseTimes& phases, bool pooled_flush) {
   if (phases.total <= 0) return 0;
-  const double share =
-      (phases.total - phases.step - phases.flush) / phases.total;
+  const double share = (phases.total - phases.step -
+                        (pooled_flush ? phases.flush : 0.0)) /
+                       phases.total;
   return std::max(0.0, share);
 }
 
@@ -479,8 +483,9 @@ int RunPhases(const Flags& flags) {
 
   std::printf(
       "parallel_rounds phases: per-round wall-clock split, pipelined "
-      "epilogue off (\"before\": serial EndRound) vs on (\"after\": "
-      "destination-partitioned flush + overlapped generation)\n\n");
+      "epilogue off (\"before\": one inline flush partition) vs on "
+      "(\"after\": destination-partitioned flush + overlapped "
+      "generation)\n\n");
   std::printf("%6s %8s %5s %7s %8s | %8s %8s | %8s %8s %8s %8s | %8s\n", "s",
               "topology", "sched", "workers", "pipeline", "seconds",
               "speedup", "step_s", "flush_s", "finish_s", "serial%",
@@ -515,7 +520,8 @@ int RunPhases(const Flags& flags) {
           row.seconds = timed.seconds;
           row.speedup =
               timed.seconds > 0 ? baseline.seconds / timed.seconds : 0.0;
-          row.serial_share = SerialShare(timed.phases);
+          row.serial_share =
+              SerialShare(timed.phases, workers > 1 && pipeline);
           row.max_single_leader_queue =
               timed.result.max_single_leader_queue;
           row.identical = identical;
@@ -583,10 +589,10 @@ int RunPhases(const Flags& flags) {
   std::printf(
       "\nall %zu runs bit-identical across worker counts and pipeline "
       "modes; table written to %s\n"
-      "Reading: with the pipeline off, EndRound's flush is the serial "
-      "finish_s column; with it on, that work moves into flush_s — a "
-      "pool-partitioned window that also hides next-round generation — so "
-      "the serial share (everything outside step_s + flush_s) drops.\n",
+      "Reading: with the pipeline off, flush_s is one inline partition "
+      "and counts as serial; with it on, flush_s is a pool-partitioned "
+      "window that also hides next-round generation, so the serial share "
+      "(everything outside step_s and the pooled flush_s) drops.\n",
       rows.size(), json_path.c_str());
   return 0;
 }
@@ -1026,7 +1032,7 @@ int RunCheck(const Flags& flags) {
   const std::uint64_t seed = flags.GetUint("seed", 42);
   if (!flags.FinishReads()) return 2;
 
-  // Small configs, every scheduler: workers 1 (serial epilogue) vs 4 with
+  // Small configs, every scheduler: workers 1 (no pool) vs 4 with
   // the pipelined epilogue on and off must agree bit-for-bit. The sharded
   // and multi-root modes run with non-trivial fan-outs (their knob = 1
   // cases are bit-identical to "bds"/"fds" by the goldens in

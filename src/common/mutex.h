@@ -8,7 +8,7 @@
 // and have an unlocked access fail compilation under clang.
 //
 // PhaseCapability is the lock-free sibling: a zero-size "role" capability
-// for the double-buffered phase contracts (sealed outbox lanes, sealed
+// for the round epilogue's phase contracts (sealed outbox lanes, sealed
 // ledger journals, the network's partitioned-flush window). Acquire and
 // Release do nothing at runtime — the value is purely static: a method
 // annotated SSHARD_REQUIRES(seal_cap()) cannot be reached, on clang,
@@ -77,7 +77,7 @@ class CondVar {
 };
 
 /// Lock-free phase capability: annotation-only state for the seal/flush
-/// double-buffer contracts. All methods are no-ops at runtime; holding or
+/// epilogue contracts. All methods are no-ops at runtime; holding or
 /// not holding the capability exists only in clang's static analysis.
 class SSHARD_CAPABILITY("phase") PhaseCapability {
  public:

@@ -11,8 +11,7 @@ BackpressureScheduler::BackpressureScheduler(
     const net::ShardMetric& metric, const cluster::Hierarchy& hierarchy,
     core::CommitLedger& ledger, const core::FdsConfig& fds_config,
     const BackpressureConfig& config)
-    : inner_(std::make_unique<core::FdsScheduler>(metric, hierarchy, ledger,
-                                                  fds_config)),
+    : FdsScheduler(metric, hierarchy, ledger, fds_config),
       config_(config),
       hot_(metric.shard_count(), 0),
       spill_(metric.shard_count()),
@@ -26,14 +25,14 @@ BackpressureScheduler::BackpressureScheduler(
 void BackpressureScheduler::Inject(const txn::Transaction& txn) {
   // The hot marks and spill queues are serial-only state; park/admit
   // decisions during a parallel phase would race with the round body.
-  SSHARD_SERIAL_PHASE(inner_->ownership());
+  SSHARD_SERIAL_PHASE(ownership_);
   if (hot_[txn.home()]) {
     spill_[txn.home()].push_back(txn);
     ++spilled_now_;
     ++deferred_total_;
     return;
   }
-  inner_->Inject(txn);
+  FdsScheduler::Inject(txn);
 }
 
 void BackpressureScheduler::BeginRound(Round round) {
@@ -42,8 +41,8 @@ void BackpressureScheduler::BeginRound(Round round) {
   // runs the hysteresis gate. Everything read here is folded serially by
   // the epilogue, so the branch outcomes are identical whatever the
   // worker count or pipeline mode.
-  SSHARD_SERIAL_PHASE(inner_->ownership());
-  const ShardId shards = inner_->shard_count();
+  SSHARD_SERIAL_PHASE(ownership_);
+  const ShardId shards = shard_count();
   for (ShardId shard = 0; shard < shards; ++shard) {
     // Congestion signal: the round's inflow (spiky — FDS ships subtxn
     // batches at epoch boundaries) joined with the standing backlog the
@@ -51,8 +50,8 @@ void BackpressureScheduler::BeginRound(Round round) {
     // undelivered messages). Either crossing the high watermark marks the
     // destination hot; both must fall to the low one to clear it.
     const std::uint64_t signal =
-        std::max(inner_->ShardTrafficFor(shard).InflowSinceSnapshot(),
-                 inner_->QueueDepth(shard));
+        std::max(ShardTrafficFor(shard).InflowSinceSnapshot(),
+                 QueueDepth(shard));
     if (!hot_[shard] && signal >= config_.high_watermark) {
       hot_[shard] = 1;
       ++hot_transitions_;
@@ -75,7 +74,7 @@ void BackpressureScheduler::BeginRound(Round round) {
       const std::size_t admit =
           std::min<std::size_t>(spill.size() - head, budget);
       for (std::size_t i = 0; i < admit; ++i) {
-        inner_->Inject(spill[head + i]);
+        FdsScheduler::Inject(spill[head + i]);
       }
       head += admit;
       if (head == spill.size()) {
@@ -90,43 +89,12 @@ void BackpressureScheduler::BeginRound(Round round) {
       spilled_now_ -= admit;
     }
   }
-  inner_->SnapshotInflow();
-  inner_->BeginRound(round);
-}
-
-void BackpressureScheduler::StepShard(ShardId shard, Round round) {
-  inner_->StepShard(shard, round);
-}
-
-void BackpressureScheduler::EndRound(Round round) {
-  inner_->EndRound(round);
-}
-
-// The epilogue trio delegates through the Scheduler interface on purpose:
-// FdsScheduler's overrides carry thread-safety annotations naming its
-// private capabilities, which this wrapper neither holds nor tracks —
-// calling via the unannotated base keeps the wrapper transparent to the
-// analysis (the capabilities are acquired and released inside one
-// inner call chain either way).
-void BackpressureScheduler::SealRound(Round round, std::uint32_t parts) {
-  core::Scheduler& base = *inner_;
-  base.SealRound(round, parts);
-}
-
-void BackpressureScheduler::FlushRoundPartition(Round round,
-                                                std::uint32_t part,
-                                                std::uint32_t parts) {
-  core::Scheduler& base = *inner_;
-  base.FlushRoundPartition(round, part, parts);
-}
-
-void BackpressureScheduler::FinishRound(Round round) {
-  core::Scheduler& base = *inner_;
-  base.FinishRound(round);
+  SnapshotInflow();
+  FdsScheduler::BeginRound(round);
 }
 
 bool BackpressureScheduler::Idle() const {
-  return spilled_now_ == 0 && inner_->Idle();
+  return spilled_now_ == 0 && FdsScheduler::Idle();
 }
 
 std::uint64_t BackpressureScheduler::hot_shard_count() const {
@@ -148,7 +116,7 @@ const core::SchedulerRegistrar kBackpressureRegistrar{
       BackpressureConfig backpressure;
       backpressure.high_watermark = config.backpressure_high;
       backpressure.low_watermark = config.backpressure_low;
-      // The wrapper composes with the multi-root hierarchy: fds_top_roots
+      // Backpressure composes with the multi-root hierarchy: fds_top_roots
       // defaults to 1, which is the classic single-top cover.
       return std::unique_ptr<core::Scheduler>(
           std::make_unique<BackpressureScheduler>(

@@ -4,14 +4,15 @@
 // adversarial injection; the s = 1024 sweeps and the `hot_destination`
 // Zipf workload show what happens when they do not — one destination
 // saturates its leader queue (sch_ldr grows without bound for the hot
-// cluster) while the rest of the system idles. This scheduler wraps the
-// FDS commit protocol with *injection-side admission control* driven by
-// the per-shard traffic stats the network already keeps:
+// cluster) while the rest of the system idles. This scheduler is FDS
+// (it derives from core::FdsScheduler) plus *injection-side admission
+// control* driven by the per-shard traffic stats the network already
+// keeps:
 //
 //   * Every BeginRound it reads, for each destination shard d, a
 //     congestion signal: the messages that arrived for d during the
 //     previous round (net::ShardTraffic::InflowSinceSnapshot over the
-//     wrapped FDS network — a cheap O(s) readout, no per-send cost)
+//     FDS network — a cheap O(s) readout, no per-send cost)
 //     joined by max with d's standing backlog (Scheduler::QueueDepth:
 //     undelivered messages plus the sch_ldr of the clusters d leads).
 //     Inflow catches arrival spikes; the backlog catches slow
@@ -37,10 +38,12 @@
 // registered "backpressure" name up automatically).
 //
 // Determinism: all decisions (watermark crossings, re-admission) happen
-// in serial phases and branch only on counters that the pipelined
-// epilogue folds back bit-identically, so workers 1 vs N and pipeline
-// on/off produce bit-identical results — the same contract every other
-// scheduler honours (see core/scheduler.h).
+// in serial phases and branch only on counters that the round epilogue
+// folds back bit-identically, so workers 1 vs N and pipeline on/off
+// produce bit-identical results — the same contract every other
+// scheduler honours (see core/scheduler.h). Admission control never
+// touches in-round state, so the round body and the epilogue are FDS's,
+// inherited unchanged.
 //
 // This is the consensus-layer view of the classic bounded-queue admission
 // controller: shedding happens before the transaction enters the commit
@@ -49,13 +52,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.h"
 #include "core/config.h"
 #include "core/fds.h"
-#include "core/scheduler.h"
 
 namespace stableshard::consensus {
 
@@ -70,10 +71,11 @@ struct BackpressureConfig {
   std::uint64_t low_watermark = core::kDefaultBackpressureLow;
 };
 
-class BackpressureScheduler final : public core::Scheduler {
+class BackpressureScheduler final : public core::FdsScheduler {
  public:
-  /// Wraps a fresh FdsScheduler over the same metric/hierarchy/ledger.
-  /// Dies (SSHARD_CHECK) when low_watermark > high_watermark.
+  /// An FdsScheduler over `metric`/`hierarchy`/`ledger` with admission
+  /// control in front of Inject. Dies (SSHARD_CHECK) when
+  /// low_watermark > high_watermark.
   BackpressureScheduler(const net::ShardMetric& metric,
                         const cluster::Hierarchy& hierarchy,
                         core::CommitLedger& ledger,
@@ -85,55 +87,13 @@ class BackpressureScheduler final : public core::Scheduler {
 
   /// Serial prologue: read last round's per-destination inflow, update the
   /// hot marks (hysteresis), re-admit spill queues whose shard cleared,
-  /// re-baseline the inflow snapshot, then delegate to FDS.
+  /// re-baseline the inflow snapshot, then run FDS's BeginRound.
   void BeginRound(Round round) override;
 
-  // The round body and both epilogues delegate unchanged — admission
-  // control never touches in-round state, which is what keeps the
-  // shard-parallel and pipelined paths bit-identical for free.
-  void StepShard(ShardId shard, Round round) override;
-  void EndRound(Round round) override;
-  void SealRound(Round round, std::uint32_t parts) override;
-  void FlushRoundPartition(Round round, std::uint32_t part,
-                           std::uint32_t parts) override;
-  void FinishRound(Round round) override;
-
-  ShardId shard_count() const override { return inner_->shard_count(); }
-  /// Busy while the wrapped FDS is busy *or* any spill queue holds parked
+  /// Busy while FDS is busy *or* any spill queue holds parked
   /// transactions (they are pending in the ledger and must re-enter).
   bool Idle() const override;
-  double LeaderQueueMean() const override {
-    return inner_->LeaderQueueMean();
-  }
-  double LeaderQueueMax() const override {
-    return inner_->LeaderQueueMax();
-  }
-  std::uint64_t MessagesSent() const override {
-    return inner_->MessagesSent();
-  }
-  std::uint64_t PayloadUnits() const override {
-    return inner_->PayloadUnits();
-  }
-  net::RingMemory NetworkMemory() const override {
-    return inner_->NetworkMemory();
-  }
-  net::LaneMemory OutboxMemory() const override {
-    return inner_->OutboxMemory();
-  }
-  common::ArenaMemoryStats ArenaMemory() const override {
-    return inner_->ArenaMemory();
-  }
-  net::ShardTraffic ShardTrafficFor(ShardId shard) const override {
-    return inner_->ShardTrafficFor(shard);
-  }
-  std::uint64_t QueueDepth(ShardId shard) const override {
-    return inner_->QueueDepth(shard);
-  }
   std::uint64_t SpilledTxns() const override { return spilled_now_; }
-  void OnShardLiveness(ShardId shard,
-                       durability::ShardLiveness state) override {
-    inner_->OnShardLiveness(shard, state);
-  }
   const char* name() const override { return "backpressure"; }
 
   /// Introspection (tests and the head-to-head bench).
@@ -142,10 +102,8 @@ class BackpressureScheduler final : public core::Scheduler {
   std::uint64_t deferred_total() const { return deferred_total_; }
   std::uint64_t readmitted_total() const { return readmitted_total_; }
   std::uint64_t hot_transitions() const { return hot_transitions_; }
-  const core::FdsScheduler& inner() const { return *inner_; }
 
  private:
-  std::unique_ptr<core::FdsScheduler> inner_;
   BackpressureConfig config_;
   /// hot_[d] != 0: destination d crossed the high watermark and has not
   /// yet fallen back to the low one (std::uint8_t — vector<bool> has no

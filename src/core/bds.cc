@@ -10,17 +10,12 @@ namespace stableshard::core {
 
 BdsScheduler::BdsScheduler(const net::ShardMetric& metric,
                            CommitLedger& ledger, const BdsConfig& config)
-    : metric_(&metric),
-      ledger_(&ledger),
+    : NetworkedScheduler(metric, ledger),
       config_(config),
-      network_(metric),
-      outbox_(metric.shard_count()),
-      ownership_(metric.shard_count()),
       pending_(metric.shard_count()),
       home_(metric.shard_count()),
       co_(metric.shard_count()),
-      dest_pending_(metric.shard_count()),
-      inbox_(metric.shard_count()) {
+      dest_pending_(metric.shard_count()) {
   SSHARD_CHECK(config.color_leaders >= 1 &&
                "bds color_leaders must be positive");
   color_leaders_ = std::min<std::uint32_t>(config.color_leaders,
@@ -101,7 +96,7 @@ void BdsScheduler::BeginRound(Round round) {
     epoch_end_ = kNoRound;
     num_colors_ = 0;
     leader_ = config_.rotate_leader
-                  ? static_cast<ShardId>(epoch_index_ % metric_->shard_count())
+                  ? static_cast<ShardId>(epoch_index_ % shard_count())
                   : 0;
     phase_ = Phase::kShipPending;
     return;
@@ -145,33 +140,6 @@ void BdsScheduler::StepShard(ShardId shard, Round round) {
       SendSubTxnsForColor(shard, *send_color_);
     }
   }
-}
-
-void BdsScheduler::EndRound(Round round) {
-  ownership_.EndParallelPhase();
-  outbox_.Flush(network_, round);
-  ledger_->FlushRound(round);
-}
-
-void BdsScheduler::SealRound(Round round, std::uint32_t parts) {
-  ownership_.BeginFlushPhase();
-  outbox_.Seal();
-  network_.flush_cap.Acquire();  // annotation-only, no runtime effect
-  ledger_->SealJournal(round, parts);
-}
-
-void BdsScheduler::FlushRoundPartition(Round round, std::uint32_t part,
-                                       std::uint32_t parts) {
-  const auto [begin, end] = FlushShardRange(shard_count(), part, parts);
-  const OwnershipRegistry::RangeClaim claim(ownership_, begin, end);
-  outbox_.FlushSealedTo(network_, round, begin, end);
-  ledger_->ResolveSealedPartition(part, round);
-}
-
-void BdsScheduler::FinishRound(Round round) {
-  ownership_.EndParallelPhase();
-  outbox_.FinishSealedFlush(network_);
-  ledger_->FinishSealedRound(round);
 }
 
 void BdsScheduler::ShipPending(ShardId home) {
@@ -238,14 +206,14 @@ void BdsScheduler::LeaderColorAndReply(Round round) {
       msg.epoch = epoch_index_;
       msg.color = color;
       const ShardId co_leader = CoLeaderFor(leader_, color, color_leaders_,
-                                            metric_->shard_count());
+                                            shard_count());
       const std::uint64_t units = msg.txns.size();
       outbox_.Send(leader_, co_leader, Message{std::move(msg)}, units);
     }
   } else {
     // Group assignments by home shard and reply. Home shards rebuild their
     // by_color schedule from the reply — the leader keeps nothing.
-    std::vector<ColorAssignMsg> per_home(metric_->shard_count());
+    std::vector<ColorAssignMsg> per_home(shard_count());
     for (std::size_t v = 0; v < view.size(); ++v) {
       per_home[view[v]->home()].colors.emplace_back(view[v]->id(),
                                                     coloring.color[v]);
@@ -258,7 +226,7 @@ void BdsScheduler::LeaderColorAndReply(Round round) {
     }
   }
   // Broadcast the plan so every shard knows the epoch length.
-  for (ShardId shard = 0; shard < metric_->shard_count(); ++shard) {
+  for (ShardId shard = 0; shard < shard_count(); ++shard) {
     EpochPlanMsg plan;
     plan.epoch = epoch_index_;
     plan.num_colors = num_colors_;
@@ -294,7 +262,7 @@ void BdsScheduler::CoLeaderSendColor(ShardId shard, Color color) {
   // 2PC records it will drive. Only the mapped co-leader has the class.
   SSHARD_OWNED(ownership_, shard);
   if (shard != CoLeaderFor(leader_, color, color_leaders_,
-                           metric_->shard_count())) {
+                           shard_count())) {
     return;
   }
   CoLeaderState& state = co_[shard];

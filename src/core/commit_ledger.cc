@@ -60,40 +60,14 @@ bool CommitLedger::EvaluateSub(const txn::SubTransaction& sub) const {
   return true;
 }
 
-bool CommitLedger::ApplyConfirm(TxnId txn, const txn::SubTransaction& sub,
-                                bool commit, Round round) {
-  const auto it = records_.find(txn);
-  SSHARD_CHECK(it != records_.end() && "confirm for unregistered txn");
-  SSHARD_CHECK(it->second.remaining > 0 && "confirm after txn resolved");
-  if (commit) {
-    // Unit shard capacity: one committed subtransaction per shard per round.
-    SSHARD_CHECK(last_commit_round_[sub.destination] != round &&
-                 "two commits on one shard in one round");
-    last_commit_round_[sub.destination] = round;
-    // The pin discipline means the vote-time evaluation still holds.
-    SSHARD_CHECK(EvaluateSub(sub) && "commit applied to stale state");
-    chain::AccountStore& store = stores_[sub.destination];
-    for (const chain::Action& action : sub.actions) {
-      store.Apply(action);
-    }
-    const std::uint64_t digest = sub.Digest();
-    chains_[sub.destination].Append(txn, round, digest);
-    if (wal_ != nullptr) {
-      wal_->StageCommit(sub.destination, txn, round, digest, sub.actions);
-    }
-  } else if (wal_ != nullptr) {
-    wal_->StageAbort(sub.destination, txn, round);
-  }
-  const std::uint64_t resolved_before = resolved_;
-  ResolveConfirm(txn, commit, round);
-  return resolved_ != resolved_before;
-}
-
 void CommitLedger::ApplyConfirmDeferred(TxnId txn,
                                         const txn::SubTransaction& sub,
                                         bool commit, Round round) {
   // Shard-local half only: store/chain effects for the destination shard
-  // plus a journal entry. Runs inside StepShard(sub.destination, round).
+  // plus a journal entry. Runs inside StepShard(sub.destination, round),
+  // never inside the sealed window (the journal has a single buffer).
+  SSHARD_DCHECK(sealed_parts_ == 0 &&
+                "confirm journaled inside a sealed window");
   if (commit) {
     SSHARD_CHECK(last_commit_round_[sub.destination] != round &&
                  "two commits on one shard in one round");
@@ -116,52 +90,32 @@ void CommitLedger::ApplyConfirmDeferred(TxnId txn,
   journal_[sub.destination].push_back(JournalEntry{txn, commit});
 }
 
-void CommitLedger::FlushRound(Round round) {
-  for (std::vector<JournalEntry>& shard_journal : journal_) {
-    for (const JournalEntry& entry : shard_journal) {
-      ResolveConfirm(entry.txn, entry.commit, round);
-    }
-    shard_journal.clear();
-  }
-  if (wal_ != nullptr) wal_->PersistAll(round);
-}
-
 void CommitLedger::SealJournal(Round round, std::uint32_t parts) {
   journal_cap.Acquire();  // annotation-only, no runtime effect
   SSHARD_CHECK(parts >= 1);
+  SSHARD_CHECK(sealed_parts_ == 0 && "journal sealed twice");
   if (wal_ != nullptr) wal_->Seal(round, parts);
-#ifndef NDEBUG
-  for (const std::vector<JournalEntry>& shard_journal : sealed_journal_) {
-    SSHARD_DCHECK(shard_journal.empty() &&
-                  "sealing over an undrained journal");
-  }
-#endif
-  if (sealed_journal_.empty()) sealed_journal_.resize(journal_.size());
-  journal_.swap(sealed_journal_);
-  sealed_prefix_.resize(sealed_journal_.size());
-  std::uint64_t base = 0;
-  for (std::size_t dest = 0; dest < sealed_journal_.size(); ++dest) {
-    sealed_prefix_[dest] = base;
-    base += sealed_journal_[dest].size();
-  }
   if (completions_.size() < parts) completions_.resize(parts);
   sealed_parts_ = parts;
 }
 
 void CommitLedger::ResolveSealedPartition(std::uint32_t part, Round round) {
   (void)round;
-  SSHARD_DCHECK(part < sealed_parts_);
+  const std::uint32_t parts = sealed_parts_;
+  SSHARD_DCHECK(part < parts);
   // Persist this partition's WAL chunk first: the encode overlaps the
   // resolution work on the same pool pass (disjoint data — the WAL
   // partitions by destination-shard range, the resolution by txn residue).
   if (wal_ != nullptr) wal_->PersistSealedPartition(part);
   std::vector<Completion>& out = completions_[part];
   out.clear();
-  for (std::size_t dest = 0; dest < sealed_journal_.size(); ++dest) {
-    const std::vector<JournalEntry>& entries = sealed_journal_[dest];
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      const JournalEntry& entry = entries[i];
-      if (entry.txn % sealed_parts_ != part) continue;
+  // Global journal index: destinations in shard order, entries in append
+  // order — the same for every partition count.
+  std::uint64_t index = 0;
+  for (const std::vector<JournalEntry>& entries : journal_) {
+    for (const JournalEntry& entry : entries) {
+      const std::uint64_t entry_index = index++;
+      if (parts > 1 && entry.txn % parts != part) continue;
       // Concurrent find()s never mutate the map structure (no insertion may
       // overlap the drain window) and each record belongs to one partition.
       const auto it = records_.find(entry.txn);
@@ -170,8 +124,8 @@ void CommitLedger::ResolveSealedPartition(std::uint32_t part, Round round) {
       SSHARD_CHECK(record.remaining > 0 && "confirm after txn resolved");
       if (!entry.commit) record.any_abort = true;
       if (--record.remaining == 0) {
-        out.push_back(Completion{sealed_prefix_[dest] + i, record.injected,
-                                 !record.any_abort});
+        out.push_back(
+            Completion{entry_index, record.injected, !record.any_abort});
       }
     }
   }
@@ -180,8 +134,9 @@ void CommitLedger::ResolveSealedPartition(std::uint32_t part, Round round) {
 void CommitLedger::FinishSealedRound(Round round) {
   // Merge the partitions' completion buffers (each ascending by journal
   // index) back into global journal order: the latency recorder must see
-  // the exact sequence the serial FlushRound would have produced.
-  std::vector<std::size_t> cursor(sealed_parts_, 0);
+  // the same sequence for every partition count.
+  std::vector<std::size_t>& cursor = merge_cursor_;
+  cursor.assign(sealed_parts_, 0);
   for (;;) {
     std::uint32_t best = sealed_parts_;
     std::uint64_t best_index = 0;
@@ -204,30 +159,12 @@ void CommitLedger::FinishSealedRound(Round round) {
     }
     latency_.Record(completion.injected, round, completion.committed);
   }
-  for (std::vector<JournalEntry>& shard_journal : sealed_journal_) {
+  for (std::vector<JournalEntry>& shard_journal : journal_) {
     shard_journal.clear();
   }
   sealed_parts_ = 0;
   if (wal_ != nullptr) wal_->FinishSealedRound();
   journal_cap.Release();  // annotation-only, no runtime effect
-}
-
-void CommitLedger::ResolveConfirm(TxnId txn, bool commit, Round round) {
-  auto it = records_.find(txn);
-  SSHARD_CHECK(it != records_.end() && "confirm for unregistered txn");
-  TxnRecord& record = it->second;
-  SSHARD_CHECK(record.remaining > 0 && "confirm after txn resolved");
-  if (!commit) record.any_abort = true;
-  if (--record.remaining > 0) return;
-
-  // Whole transaction resolved.
-  ++resolved_;
-  if (record.any_abort) {
-    ++aborted_txns_;
-  } else {
-    ++committed_txns_;
-  }
-  latency_.Record(record.injected, round, !record.any_abort);
 }
 
 bool CommitLedger::IsResolved(TxnId txn) const {

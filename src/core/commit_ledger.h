@@ -12,30 +12,27 @@
 //     validity checks still hold (the schedulers' pin discipline guarantees
 //     they do; a violation aborts the simulation).
 //
-// Shard-parallel rounds: ApplyConfirm mixes shard-local effects (store
-// writes, chain append) with global bookkeeping (resolution records,
-// counters, latency). The decomposed schedulers instead call
-// ApplyConfirmDeferred from StepShard — it performs only the shard-local
-// half (safe for concurrent calls on distinct destinations) and journals
-// the resolution event — and FlushRound from EndRound, which drains the
-// per-shard journals in shard order so the global bookkeeping stays
-// deterministic regardless of thread scheduling.
-//
-// Pipelined rounds: the journal is double-buffered so the next round's
-// StepShard may keep journaling while pool workers drain the sealed copy.
-// SealJournal swaps the buffers; ResolveSealedPartition applies the
-// remaining-count decrements in parallel; FinishSealedRound folds the
-// counters and latency serially. The parallel stage is partitioned by
-// *transaction id* (txn % parts), NOT by destination: one transaction's
-// subtransactions resolve on several destination shards, so a
-// destination-partitioned drain would race on the shared TxnRecord. With
-// id-residue ownership each record is touched by exactly one worker, in
-// the serial journal-order subsequence, and every completion is tagged
-// with its global journal index so FinishSealedRound can replay the
-// latency recorder in the exact serial order — float accumulation is
-// order-sensitive, and the workers-1-vs-N bit-identity contract covers the
-// latency means. The per-destination sealed journals themselves are only
-// read concurrently.
+// Shard-parallel rounds: applying a confirm mixes shard-local effects
+// (store writes, chain append) with global bookkeeping (resolution
+// records, counters, latency). Schedulers call ApplyConfirmDeferred from
+// StepShard — it performs only the shard-local half (safe for concurrent
+// calls on distinct destinations) and journals the resolution event in
+// the destination's journal. The round epilogue then resolves the journal
+// in three steps: SealJournal closes it (no confirm may be journaled until
+// FinishSealedRound; Debug builds abort if one is); ResolveSealedPartition
+// applies the remaining-count decrements, possibly in parallel across
+// partitions; FinishSealedRound folds the counters and latency serially.
+// The partitioned stage splits entries by *transaction id* (txn % parts),
+// NOT by destination: one transaction's subtransactions resolve on several
+// destination shards, so a destination-partitioned drain would race on
+// the shared TxnRecord. With id-residue ownership each record is touched
+// by exactly one partition, in journal order, and every completion is
+// tagged with its global journal index (destinations in shard order,
+// entries in append order) so FinishSealedRound can replay the latency
+// recorder in the same order for any partition count — float accumulation
+// is order-sensitive, and the workers-1-vs-N bit-identity contract covers
+// the latency means. A serial run is the one-partition case. The journals
+// themselves are only read concurrently.
 #pragma once
 
 #include <cstdint>
@@ -58,20 +55,20 @@ class CommitLedger {
  public:
   /// Annotation-only capability for the sealed-journal window: SealJournal
   /// acquires it, ResolveSealedPartition requires it, FinishSealedRound
-  /// releases it, and every serial-path mutation (RegisterInjection,
-  /// ApplyConfirm, FlushRound) excludes it — so on clang, mutating the
-  /// ledger inside a Seal..Finish window fails compilation (the class
-  /// comment's "no other ledger mutation may overlap" contract). Public so
-  /// schedulers' annotations can name it; no runtime state.
+  /// releases it, and the serial-phase mutations (RegisterInjection,
+  /// ResetShardForRecovery) exclude it — so on clang, mutating the ledger
+  /// inside a Seal..Finish window fails compilation (the "no other ledger
+  /// mutation may overlap" contract). Public so schedulers' annotations
+  /// can name it; no runtime state.
   common::PhaseCapability journal_cap;
 
   CommitLedger(const chain::AccountMap& map, chain::Balance initial_balance);
 
-  /// Attach a write-ahead log: every ApplyConfirm/ApplyConfirmDeferred
-  /// stages a durable record for its destination shard, sealed and
-  /// persisted alongside the journal (SealJournal drives wal->Seal,
-  /// ResolveSealedPartition drives the partitioned persist, the serial
-  /// FlushRound drives PersistAll). The manager must cover the same shard
+  /// Attach a write-ahead log: every ApplyConfirmDeferred stages a
+  /// durable record for its destination shard, sealed and persisted
+  /// alongside the journal (SealJournal drives wal->Seal,
+  /// ResolveSealedPartition the partitioned persist, FinishSealedRound
+  /// the durable-sequence advance). The manager must cover the same shard
   /// count and outlive the ledger. Optional — without it the ledger
   /// behaves exactly as before, bit for bit.
   void AttachWal(durability::WalManager* wal);
@@ -85,32 +82,20 @@ class CommitLedger {
   /// state: all conditions hold and all actions are valid.
   bool EvaluateSub(const txn::SubTransaction& sub) const;
 
-  /// Apply the coordinator's decision for one subtransaction at `round`.
-  /// On commit: re-checks EvaluateSub (scheduler pin bug otherwise), applies
-  /// the actions and appends a block to the destination's local chain.
-  /// Returns true if the whole transaction became resolved by this call.
-  bool ApplyConfirm(TxnId txn, const txn::SubTransaction& sub, bool commit,
-                    Round round) SSHARD_EXCLUDES(journal_cap);
-
-  /// Shard-local half of ApplyConfirm for the parallel round loop: applies
-  /// the commit effects to `sub.destination`'s store/chain (with the same
-  /// capacity and stale-state checks) and journals the resolution event.
-  /// Safe to call concurrently for distinct destination shards; the global
-  /// bookkeeping happens in FlushRound.
+  /// Apply the coordinator's decision for one subtransaction at `round`,
+  /// shard-local half: on commit, re-checks EvaluateSub (scheduler pin bug
+  /// otherwise) and the unit shard capacity, applies the actions, appends
+  /// a block to the destination's local chain and stages the WAL record;
+  /// then journals the resolution event. Safe to call concurrently for
+  /// distinct destination shards; the global bookkeeping happens in the
+  /// Seal/Resolve/Finish epilogue below. Never inside that window.
   void ApplyConfirmDeferred(TxnId txn, const txn::SubTransaction& sub,
                             bool commit, Round round);
 
-  /// Serial: drain the per-shard journals (in shard order) filled by
-  /// ApplyConfirmDeferred during round `round`, updating resolution
-  /// records, counters and latency.
-  void FlushRound(Round round) SSHARD_EXCLUDES(journal_cap);
-
-  /// Serial: swap the active journal with the (drained) sealed one and set
-  /// up `parts` completion buffers for the partitioned resolution. The next
-  /// round's ApplyConfirmDeferred calls land in fresh journals while pool
-  /// workers drain the sealed copy. `round` tags the attached WAL's sealed
-  /// window (the journal itself never needed it — the WAL's durable
-  /// callbacks do).
+  /// Serial: close the journals for round `round` and set up `parts`
+  /// completion buffers for the partitioned resolution. `round` tags the
+  /// attached WAL's sealed window (the journal itself never needed it —
+  /// the WAL's durable callbacks do).
   void SealJournal(Round round, std::uint32_t parts)
       SSHARD_ACQUIRE(journal_cap);
 
@@ -119,13 +104,13 @@ class CommitLedger {
   /// decrements only; completions are buffered with their global journal
   /// index. Each TxnRecord is touched by exactly one partition. No other
   /// ledger mutation (RegisterInjection included) may overlap the
-  /// Seal..Finish window.
+  /// Seal..Finish window. Also persists the partition's WAL chunk.
   void ResolveSealedPartition(std::uint32_t part, Round round)
       SSHARD_REQUIRES(journal_cap);
 
   /// Serial epilogue: merge the partitions' completion buffers back into
-  /// global journal order and apply counters + latency, then retire the
-  /// sealed journals.
+  /// global journal order and apply counters + latency, then clear the
+  /// journals and reopen them.
   void FinishSealedRound(Round round) SSHARD_RELEASE(journal_cap);
 
   bool IsResolved(TxnId txn) const;
@@ -185,9 +170,6 @@ class CommitLedger {
     bool committed = false;
   };
 
-  /// Global (records/counters/latency) half of a confirm application.
-  void ResolveConfirm(TxnId txn, bool commit, Round round);
-
   const chain::AccountMap* map_;
   chain::Balance initial_balance_;
   durability::WalManager* wal_ = nullptr;  ///< optional, not owned
@@ -195,12 +177,12 @@ class CommitLedger {
   std::vector<chain::LocalChain> chains_;     // one per shard
   std::vector<Round> last_commit_round_;      // unit-capacity enforcement
   std::vector<std::vector<JournalEntry>> journal_;  // per destination shard
-  /// Double buffer of journal_ (swapped by SealJournal; empty outside a
-  /// Seal..Finish window) plus the drain scratch: per-destination global
-  /// index bases and per-partition completion buffers (reused every round).
-  std::vector<std::vector<JournalEntry>> sealed_journal_;
-  std::vector<std::uint64_t> sealed_prefix_;
+  /// Per-partition completion buffers and the merge's cursors into them
+  /// (drain scratch, reused every round: a serial run pays the epilogue
+  /// every round, so it must not allocate).
   std::vector<std::vector<Completion>> completions_;
+  std::vector<std::size_t> merge_cursor_;
+  /// Partition count of the open Seal..Finish window (0 = not sealed).
   std::uint32_t sealed_parts_ = 0;
   std::unordered_map<TxnId, TxnRecord> records_;
   stats::LatencyRecorder latency_;

@@ -142,11 +142,12 @@ struct SimConfig {
   /// serial). Any value produces bit-identical results — the decomposition
   /// is deterministic by construction (see core/scheduler.h).
   std::uint32_t worker_threads = 1;
-  /// Pipelined round epilogue (worker_threads > 1 only): EndRound's flush
-  /// runs destination-partitioned on the pool while the next round's
-  /// adversary generation overlaps on the driving thread. Bit-identical to
-  /// the serial epilogue either way — the switch exists for the
-  /// before/after comparison in bench/parallel_rounds --phases.
+  /// Pipelined round epilogue (worker_threads > 1 only): the flush runs in
+  /// min(threads, shards) destination partitions on the pool while the
+  /// next round's generation overlaps on the driving thread. Off, the
+  /// flush is one partition on the driving thread. Bit-identical either
+  /// way — the switch exists for the before/after comparison in
+  /// bench/parallel_rounds --phases.
   bool pipeline = true;
   /// Small-grid pool overhead guard: when shards / worker_threads falls
   /// below this, the engine skips the worker pool entirely and runs the

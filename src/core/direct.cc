@@ -9,20 +9,15 @@ namespace stableshard::core {
 
 DirectScheduler::DirectScheduler(const net::ShardMetric& metric,
                                  CommitLedger& ledger)
-    : ledger_(&ledger),
-      network_(metric),
-      outbox_(metric.shard_count()),
-      ownership_(metric.shard_count()),
+    : NetworkedScheduler(metric, ledger),
       protocol_(metric.shard_count(), outbox_, ledger,
                 /*on_decided=*/nullptr),
-      inject_by_home_(metric.shard_count()),
-      inbox_(metric.shard_count()) {}
+      inject_by_home_(metric.shard_count()) {}
 
 void DirectScheduler::Inject(const txn::Transaction& txn) {
   SSHARD_SERIAL_PHASE(ownership_);
   SSHARD_CHECK(txn.home() < inject_by_home_.size());
   inject_by_home_[txn.home()].push_back(txn);
-  ++injected_waiting_;
 }
 
 void DirectScheduler::BeginRound(Round round) {
@@ -55,38 +50,11 @@ void DirectScheduler::StepShard(ShardId shard, Round round) {
   protocol_.IssueVotesForShard(shard, round);
 }
 
-void DirectScheduler::EndRound(Round round) {
-  ownership_.EndParallelPhase();
-  injected_waiting_ = 0;
-  outbox_.Flush(network_, round);
-  ledger_->FlushRound(round);
-}
-
-void DirectScheduler::SealRound(Round round, std::uint32_t parts) {
-  ownership_.BeginFlushPhase();
-  outbox_.Seal();
-  network_.flush_cap.Acquire();  // annotation-only, no runtime effect
-  ledger_->SealJournal(round, parts);
-}
-
-void DirectScheduler::FlushRoundPartition(Round round, std::uint32_t part,
-                                          std::uint32_t parts) {
-  const auto [begin, end] = FlushShardRange(shard_count(), part, parts);
-  const OwnershipRegistry::RangeClaim claim(ownership_, begin, end);
-  outbox_.FlushSealedTo(network_, round, begin, end);
-  ledger_->ResolveSealedPartition(part, round);
-}
-
-void DirectScheduler::FinishRound(Round round) {
-  ownership_.EndParallelPhase();
-  injected_waiting_ = 0;
-  outbox_.FinishSealedFlush(network_);
-  ledger_->FinishSealedRound(round);
-}
-
 bool DirectScheduler::Idle() const {
-  return injected_waiting_ == 0 && !network_.HasPending() &&
-         protocol_.Idle();
+  for (const std::vector<txn::Transaction>& queue : inject_by_home_) {
+    if (!queue.empty()) return false;
+  }
+  return !network_.HasPending() && protocol_.Idle();
 }
 
 namespace {

@@ -205,31 +205,33 @@ void Simulation::StepRound(Round round, Round generate_round) {
   }
   phase_times_.step += SecondsSince(mark);
 
-  if (pool_ && config_.pipeline) {
-    // Pipelined epilogue: seal the round's double buffers, drain them
-    // destination-partitioned on the pool, and overlap the next round's
-    // adversary generation on this thread (it touches only adversary
-    // state). The serial remainder shrinks to FinishRound.
-    mark = Clock::now();
-    const auto parts = static_cast<std::uint32_t>(
-        std::min<std::size_t>(pool_->thread_count(), shards));
-    scheduler_->SealRound(round, parts);
+  // The round epilogue. Pipelined (a pool and SimConfig::pipeline): flush
+  // min(threads, shards) destination partitions on the pool and overlap
+  // the next round's generation on this thread (it touches only injector
+  // state). Otherwise one partition, flushed inline, with generation left
+  // at the top of the next round.
+  mark = Clock::now();
+  const bool pipelined = pool_ && config_.pipeline;
+  const std::uint32_t parts =
+      pipelined ? static_cast<std::uint32_t>(
+                      std::min<std::size_t>(pool_->thread_count(), shards))
+                : 1;
+  scheduler_->SealRound(round, parts);
+  if (pipelined) {
     pool_->Dispatch(parts, [scheduler, round, parts](std::size_t part) {
       scheduler->FlushRoundPartition(round, static_cast<std::uint32_t>(part),
                                      parts);
     });
     if (generate_round != kNoRound) Generate(generate_round);
     pool_->Wait();
-    phase_times_.flush += SecondsSince(mark);
-
-    mark = Clock::now();
-    scheduler_->FinishRound(round);
-    phase_times_.finish += SecondsSince(mark);
   } else {
-    mark = Clock::now();
-    scheduler_->EndRound(round);
-    phase_times_.finish += SecondsSince(mark);
+    scheduler_->FlushRoundPartition(round, 0, 1);
   }
+  phase_times_.flush += SecondsSince(mark);
+
+  mark = Clock::now();
+  scheduler_->FinishRound(round);
+  phase_times_.finish += SecondsSince(mark);
 }
 
 SimResult Simulation::Run() {
@@ -296,9 +298,10 @@ SimResult Simulation::Run() {
     }
     // The pipelined epilogue of round - 1 usually pre-generated this
     // round's transactions (overlapped with its flush); fall back to
-    // generating here on the serial path and for round 0. Injection stays
-    // strictly after the previous round's sampling either way, so the
-    // ledger counters every sample sees match the serial schedule.
+    // generating here when the epilogue is not pipelined, and for round 0.
+    // Injection stays strictly after the previous round's sampling either
+    // way, so the ledger counters every sample sees match the serial
+    // schedule.
     if (generated_round_ != round) Generate(round);
     const auto inject_start = Clock::now();
     for (txn::Transaction& txn : txn_buffer_) {

@@ -16,16 +16,17 @@
 //      per-round averages, max_pending and the pending series describe the
 //      same rounds_executed window the result reports.
 //
-// Pipelined epilogue (worker_threads > 1 and SimConfig::pipeline): instead
-// of the serial EndRound, the engine runs the scheduler's
-// SealRound / FlushRoundPartition / FinishRound triple — the flush drains
-// destination-partitioned on the pool while the driving thread generates
-// the NEXT round's transactions into a reusable buffer (generation touches
-// only adversary state, so the overlap is race-free and invisible to the
-// results). Injection, metric sampling and BeginRound of the next round
-// stay strictly after FinishRound, so the ledger values every sample sees
-// are exactly the serial ones — worker_threads and the pipeline switch
-// never change a single output bit (tests/parallel_engine_test).
+// The round epilogue is the scheduler's SealRound / FlushRoundPartition /
+// FinishRound triple. Pipelined (worker_threads > 1 and
+// SimConfig::pipeline), the flush drains destination-partitioned on the
+// pool while the driving thread generates the NEXT round's transactions
+// into a reusable buffer (generation touches only injector state, so the
+// overlap is race-free and invisible to the results). Otherwise the flush
+// is one partition on the driving thread and generation stays at the top
+// of the next round. Injection, metric sampling and BeginRound of the
+// next round stay strictly after FinishRound, so the ledger values every
+// sample sees are the same either way — worker_threads and the pipeline
+// switch never change a single output bit (tests/parallel_engine_test).
 //
 // The engine knows no concrete scheduler and no concrete workload:
 // SimConfig::scheduler names an entry in core::SchedulerRegistry and
@@ -62,15 +63,16 @@ namespace stableshard::core {
 /// Wall-clock decomposition of Run() as seen from the driving thread,
 /// accumulated across all executed rounds (bench/parallel_rounds --phases).
 /// In the pipelined epilogue `generate` happens inside the `flush` window
-/// (it overlaps the pool's partition drain), so the two overlap; in the
-/// serial epilogue `flush` is 0 and `finish` holds the whole EndRound.
+/// (it overlaps the pool's partition drain), so the two overlap; otherwise
+/// `flush` is SealRound plus the inline one-partition flush, and
+/// `generate` is separate.
 struct PhaseTimes {
-  double generate = 0;  ///< adversary GenerateRound
+  double generate = 0;  ///< injector GenerateRound
   double inject = 0;    ///< RegisterInjection + Scheduler::Inject
   double begin = 0;     ///< BeginRound
   double step = 0;      ///< StepShard fan-out (wall time)
-  double flush = 0;     ///< SealRound .. pool Wait (overlaps generate)
-  double finish = 0;    ///< FinishRound (pipelined) or EndRound (serial)
+  double flush = 0;     ///< SealRound .. flush done (pipelined: pool Wait)
+  double finish = 0;    ///< FinishRound
   double sample = 0;    ///< per-round metric sampling
   double total = 0;     ///< the whole round loop, drain included
 };

@@ -12,13 +12,10 @@ namespace stableshard::core {
 FdsScheduler::FdsScheduler(const net::ShardMetric& metric,
                            const cluster::Hierarchy& hierarchy,
                            CommitLedger& ledger, const FdsConfig& config)
-    : metric_(&metric),
+    : NetworkedScheduler(metric, ledger),
+      metric_(&metric),
       hierarchy_(&hierarchy),
-      ledger_(&ledger),
       config_(config),
-      network_(metric),
-      outbox_(metric.shard_count()),
-      ownership_(metric.shard_count()),
       protocol_(metric.shard_count(), outbox_, ledger,
                 [this](TxnId txn, std::uint32_t cluster, bool committed) {
                   OnDecided(txn, cluster, committed);
@@ -29,8 +26,7 @@ FdsScheduler::FdsScheduler(const net::ShardMetric& metric,
       buffered_by_home_(metric.shard_count(), 0),
       coloring_work_(metric.shard_count()),
       step_arenas_(metric.shard_count()),
-      reschedules_by_shard_(metric.shard_count(), 0),
-      inbox_(metric.shard_count()) {
+      reschedules_by_shard_(metric.shard_count(), 0) {
   // Derive the aligned base epoch length E_0 (see header).
   Round e0 = 4;
   for (std::uint32_t layer = 0; layer < hierarchy.layer_count(); ++layer) {
@@ -158,33 +154,6 @@ void FdsScheduler::StepShard(ShardId shard, Round round) {
 
   // Algorithm 2b: this destination votes for its queue head.
   protocol_.IssueVotesForShard(shard, round);
-}
-
-void FdsScheduler::EndRound(Round round) {
-  ownership_.EndParallelPhase();
-  outbox_.Flush(network_, round);
-  ledger_->FlushRound(round);
-}
-
-void FdsScheduler::SealRound(Round round, std::uint32_t parts) {
-  ownership_.BeginFlushPhase();
-  outbox_.Seal();
-  network_.flush_cap.Acquire();  // annotation-only, no runtime effect
-  ledger_->SealJournal(round, parts);
-}
-
-void FdsScheduler::FlushRoundPartition(Round round, std::uint32_t part,
-                                       std::uint32_t parts) {
-  const auto [begin, end] = FlushShardRange(shard_count(), part, parts);
-  const OwnershipRegistry::RangeClaim claim(ownership_, begin, end);
-  outbox_.FlushSealedTo(network_, round, begin, end);
-  ledger_->ResolveSealedPartition(part, round);
-}
-
-void FdsScheduler::FinishRound(Round round) {
-  ownership_.EndParallelPhase();
-  outbox_.FinishSealedFlush(network_);
-  ledger_->FinishSealedRound(round);
 }
 
 void FdsScheduler::RunColoring(const cluster::Cluster& cluster,

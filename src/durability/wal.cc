@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/shard_range.h"
 
 namespace stableshard::durability {
 
@@ -93,7 +94,6 @@ WalReader::Status WalReader::Next(WalRecord* out) {
 WalManager::WalManager(ShardId shards, MemoryStorage* storage)
     : storage_(storage),
       staging_(shards),
-      sealed_(shards),
       next_seq_(shards, 0),
       durable_seq_(shards, 0),
       records_by_shard_(shards, 0) {
@@ -105,6 +105,7 @@ WalManager::WalManager(ShardId shards, MemoryStorage* storage)
 void WalManager::StageCommit(ShardId dest, TxnId txn, Round round,
                              std::uint64_t payload_digest,
                              const std::vector<chain::Action>& actions) {
+  SSHARD_DCHECK(sealed_round_ == kNoRound && "WAL staged inside a seal");
   WalRecord record;
   record.type = WalRecordType::kCommit;
   record.seq = ++next_seq_[dest];
@@ -116,6 +117,7 @@ void WalManager::StageCommit(ShardId dest, TxnId txn, Round round,
 }
 
 void WalManager::StageAbort(ShardId dest, TxnId txn, Round round) {
+  SSHARD_DCHECK(sealed_round_ == kNoRound && "WAL staged inside a seal");
   WalRecord record;
   record.type = WalRecordType::kAbort;
   record.seq = ++next_seq_[dest];
@@ -127,26 +129,18 @@ void WalManager::StageAbort(ShardId dest, TxnId txn, Round round) {
 void WalManager::Seal(Round round, std::uint32_t parts) {
   SSHARD_CHECK(parts >= 1);
   SSHARD_CHECK(sealed_round_ == kNoRound && "sealing over an open seal");
-  staging_.swap(sealed_);
   sealed_round_ = round;
   sealed_parts_ = parts;
 }
 
 void WalManager::PersistSealedPartition(std::uint32_t part) {
   SSHARD_DCHECK(part < sealed_parts_);
-  // Mirrors core::FlushShardRange — contiguous destination chunks, each
-  // shard's lane touched by exactly one partition.
-  const ShardId shards = shard_count();
-  const ShardId chunk = (shards + sealed_parts_ - 1) / sealed_parts_;
-  const ShardId begin = static_cast<ShardId>(std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(chunk) * part, shards));
-  const ShardId end = static_cast<ShardId>(std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(begin) + chunk, shards));
+  const auto [begin, end] = FlushShardRange(shard_count(), part, sealed_parts_);
   for (ShardId shard = begin; shard < end; ++shard) {
-    for (const WalRecord& record : sealed_[shard]) {
+    for (const WalRecord& record : staging_[shard]) {
       AppendWalRecord(storage_->wal[shard], record);
     }
-    records_by_shard_[shard] += sealed_[shard].size();
+    records_by_shard_[shard] += staging_[shard].size();
   }
 }
 
@@ -154,7 +148,7 @@ void WalManager::FinishSealedRound() {
   SSHARD_CHECK(sealed_round_ != kNoRound && "finish without a seal");
   const Round round = sealed_round_;
   for (ShardId shard = 0; shard < shard_count(); ++shard) {
-    std::vector<WalRecord>& lane = sealed_[shard];
+    std::vector<WalRecord>& lane = staging_[shard];
     if (lane.empty()) continue;
     durable_seq_[shard] = lane.back().seq;
     if (on_durable_) on_durable_(shard, durable_seq_[shard], round);
@@ -162,12 +156,6 @@ void WalManager::FinishSealedRound() {
   }
   sealed_round_ = kNoRound;
   sealed_parts_ = 0;
-}
-
-void WalManager::PersistAll(Round round) {
-  Seal(round, 1);
-  PersistSealedPartition(0);
-  FinishSealedRound();
 }
 
 std::uint64_t WalManager::records_persisted() const {

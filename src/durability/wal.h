@@ -11,17 +11,18 @@
 // destinations) and made durable inside the round epilogue before any
 // round r+1 work begins.
 //
-// Pipelined persistence (the mako rocksdb_persistence shape): the WAL
-// piggybacks on the CommitLedger's sealed-journal window. Seal() swaps the
-// staging lanes into a sealed set while the next round keeps staging;
-// PersistSealedPartition(part) encodes the sealed lanes of the contiguous
-// destination-shard chunk owned by `part` (the same range split as
-// core::FlushShardRange, so persistence overlaps the pooled outbox flush
-// with the identical ownership discipline); FinishSealedRound() walks
-// shards serially, advances each shard's durable sequence number and fires
-// the completion callback. Per-shard sequence numbers are assigned at
-// staging time — shard-owned, monotonic from 1 — so "records with
-// seq <= durable_seq(shard) are on disk" is the recovery contract.
+// Persistence (the mako rocksdb_persistence shape) rides the
+// CommitLedger's sealed-journal window. Seal() closes the staging lanes
+// (Debug builds abort if anything stages before FinishSealedRound);
+// PersistSealedPartition(part) encodes the lanes of the contiguous
+// destination-shard chunk owned by `part` (FlushShardRange, the same split
+// the outbox drain and the ownership checker use, so persistence overlaps
+// the pooled outbox flush with the identical ownership discipline);
+// FinishSealedRound() walks shards serially, advances each shard's durable
+// sequence number, fires the completion callback and clears the lanes. A
+// serial run is the one-partition case. Per-shard sequence numbers are
+// assigned at staging time — shard-owned, monotonic from 1 — so "records
+// with seq <= durable_seq(shard) are on disk" is the recovery contract.
 //
 // Record frame: u32 payload_size, u64 fnv1a(payload), payload. Payload:
 //   u8 type (1 = commit, 2 = abort), u64 seq, u64 txn, u64 round,
@@ -108,22 +109,22 @@ class WalManager {
 
   WalManager(ShardId shards, MemoryStorage* storage);
 
-  /// Shard-owned staging (callable concurrently for distinct `dest`).
+  /// Shard-owned staging (callable concurrently for distinct `dest`;
+  /// never inside a Seal..FinishSealedRound window).
   void StageCommit(ShardId dest, TxnId txn, Round round,
                    std::uint64_t payload_digest,
                    const std::vector<chain::Action>& actions);
   void StageAbort(ShardId dest, TxnId txn, Round round);
 
-  /// Serial: swap staging lanes into the sealed set for `round`.
+  /// Serial: close the staging lanes for `round`, to be persisted in
+  /// `parts` partitions.
   void Seal(Round round, std::uint32_t parts);
-  /// Parallel-safe for distinct `part`: encode the sealed lanes of the
-  /// destination chunk [begin, end) owned by `part` into storage.
+  /// Parallel-safe for distinct `part`: encode the staged lanes of the
+  /// destination chunk FlushShardRange(shards, part, parts) into storage.
   void PersistSealedPartition(std::uint32_t part);
   /// Serial epilogue: advance durable sequence numbers in shard order,
-  /// fire callbacks, retire the sealed lanes.
+  /// fire callbacks, clear the lanes and reopen them for staging.
   void FinishSealedRound();
-  /// Serial path (unpipelined EndRound): Seal + full persist + finish.
-  void PersistAll(Round round);
 
   void set_on_durable(DurableCallback callback) {
     on_durable_ = std::move(callback);
@@ -142,13 +143,12 @@ class WalManager {
  private:
   MemoryStorage* storage_;
   std::vector<std::vector<WalRecord>> staging_;  // per destination shard
-  std::vector<std::vector<WalRecord>> sealed_;
   std::vector<std::uint64_t> next_seq_;     // advanced at staging time
   std::vector<std::uint64_t> durable_seq_;  // advanced at finish time
   /// Per-shard persisted-record counters (summed serially on read): the
   /// persist partitions may not share one accumulator.
   std::vector<std::uint64_t> records_by_shard_;
-  Round sealed_round_ = kNoRound;
+  Round sealed_round_ = kNoRound;  ///< kNoRound = not sealed
   std::uint32_t sealed_parts_ = 0;
   DurableCallback on_durable_;
 };

@@ -6,8 +6,9 @@
 // one-round intra-shard consensus on the message).
 //
 // The network layer assumes the cluster-sending protocol of Hellings &
-// Sadoghi (modelled in src/consensus): delivery is reliable and agreed upon
-// by all non-faulty nodes of the receiving shard within the round budget.
+// Sadoghi, with PBFT inside each shard — a modelling assumption from the
+// paper, not code in this tree: delivery is reliable and agreed upon by
+// all non-faulty nodes of the receiving shard within the round budget.
 // Here we account for traffic (messages, payload units) and delay only.
 //
 // Storage is a *lazily grown per-destination ring*: each destination shard
@@ -33,9 +34,10 @@
 // keep one inbox buffer per shard for exactly this purpose.
 //
 // Concurrency contract (the shard-parallel round loop relies on it):
-//   * Send may only be called from serial phases (BeginRound/EndRound or
-//     fully single-threaded drivers) — it grows rings lazily, so it is
-//     never safe concurrently with anything;
+//   * sends enter the network only through the round epilogue's
+//     partitioned flush (below), or through Send from fully
+//     single-threaded drivers and tests — Send grows rings lazily, so it
+//     is never safe concurrently with anything;
 //   * DeliverTo(shard, round) may run concurrently for *distinct* shards:
 //     it touches only that destination's ring and per-shard counters
 //     (delivered_total_ is a relaxed atomic used for stats only);
@@ -43,16 +45,16 @@
 //     synchronous simulation steps every shard every round, which is what
 //     keeps ring slots empty before reuse (DCHECKed per envelope).
 //
-// Partitioned flush (the pipelined EndRound, see net/outbox.h): Deposit is
-// the destination-parallel half of Send — it takes an explicit sequence
+// Partitioned flush (the round epilogue, see net/outbox.h): Deposit is the
+// destination-parallel half of a send — it takes an explicit sequence
 // number and touches only the destination's ring, pending counter and
 // inbound traffic split, so workers owning disjoint destination sets may
 // Deposit concurrently. The sender-side split and the global counters
 // (seq_, stats_, max_in_flight) are folded back serially afterwards via
 // AddSenderTraffic + CommitPartitionedSends, which reproduce exactly the
-// values the per-send updates would have left: within one flush no delivery
+// values per-send updates would have left: within one flush no delivery
 // runs, so in-flight grows monotonically and its peak is attained at the
-// last deposited envelope.
+// last deposited envelope. Send is the same three steps for one message.
 //
 // Network<Payload> is a class template so each scheduler can use its own
 // message variant without type erasure on the hot path.
@@ -83,10 +85,10 @@ struct TrafficStats {
 /// backpressure admission control).
 ///
 /// Contract: counters are cumulative over the run and only ever grow.
-/// The `messages_in` / `payload_in` halves are updated by Send (serial)
-/// and Deposit (destination-owned, so one writer per shard during a
-/// partitioned flush); the `_out` halves by Send and the serial
-/// AddSenderTraffic fold. Reads are only meaningful from serial phases
+/// The `messages_in` / `payload_in` halves are updated by Deposit
+/// (destination-owned, so one writer per shard during a partitioned
+/// flush); the `_out` halves by the serial AddSenderTraffic fold. Send
+/// goes through both. Reads are only meaningful from serial phases
 /// (BeginRound / FinishRound / between rounds) — there the values are
 /// bit-identical whatever the worker or partition count, which is what
 /// lets traffic-reactive schedulers (consensus/backpressure_scheduler)
@@ -148,41 +150,20 @@ class Network {
   /// Queue `payload` from shard `from` to shard `to` at round `now`.
   /// `payload_units` is the caller-declared logical size (e.g. transaction
   /// count) used for the O(bs) message-size accounting of Section 3.
-  /// Serial phases only — see the concurrency contract above.
+  /// Single-threaded drivers only — see the concurrency contract above.
   void Send(ShardId from, ShardId to, Round now, Payload payload,
             std::uint64_t payload_units = 1) SSHARD_EXCLUDES(flush_cap) {
-    SSHARD_DCHECK(from < shard_count_);
-    SSHARD_DCHECK(to < shard_count_);
-    const Distance d = from == to ? 1 : metric_->distance(from, to);
-    const Round deliver = now + d;
-    std::vector<std::vector<Envelope>>& ring = rings_[to];
-    // d + 2 slots keep live rounds collision-free for offsets up to d;
-    // slot_count_ (= Diameter + 2) is the proven global cap (the clamp
-    // also covers the degenerate s = 1 self-send ring of 2 slots).
-    const std::size_t needed =
-        std::min<std::size_t>(static_cast<std::size_t>(d) + 2, slot_count_);
-    if (ring.size() < needed) GrowRing(ring, needed);
-    ring[deliver % ring.size()].push_back(
-        Envelope{from, to, now, deliver, seq_++, std::move(payload)});
-    ++stats_.messages_sent;
-    stats_.payload_units += payload_units;
-    ++shard_traffic_[from].messages_out;
-    ++shard_traffic_[to].messages_in;
-    shard_traffic_[from].payload_out += payload_units;
-    shard_traffic_[to].payload_in += payload_units;
-    ++pending_by_dest_[to];
-    // Exact at every Send: deliveries never run concurrently with sends.
-    const std::uint64_t in_flight =
-        stats_.messages_sent -
-        delivered_total_.load(std::memory_order_relaxed);
-    if (in_flight > stats_.max_in_flight) stats_.max_in_flight = in_flight;
+    flush_cap.Acquire();  // annotation-only, no runtime effect
+    Deposit(from, to, now, seq_, std::move(payload), payload_units);
+    AddSenderTraffic(from, 1, payload_units);
+    CommitPartitionedSends(1, payload_units);
   }
 
-  /// Destination-parallel half of Send (partitioned flush only): queue
-  /// `payload` into `to`'s ring under the caller-assigned global sequence
-  /// number. Touches only rings_[to], pending_by_dest_[to] and the inbound
-  /// half of shard_traffic_[to], so callers owning disjoint destination
-  /// sets may run concurrently. The caller must hand out seq values that
+  /// Destination-parallel half of a send: queue `payload` into `to`'s
+  /// ring under the caller-assigned global sequence number. Touches only
+  /// rings_[to], pending_by_dest_[to] and the inbound half of
+  /// shard_traffic_[to], so callers owning disjoint destination sets may
+  /// run concurrently. The caller must hand out seq values that
   /// continue next_seq() in the serial flush order and finish the flush
   /// with AddSenderTraffic + CommitPartitionedSends before any other
   /// network call.

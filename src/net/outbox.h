@@ -3,38 +3,33 @@
 // During StepShard(shard, round) a scheduler may only mutate shard-local
 // state, so it cannot call Network::Send (a serial-phase operation)
 // directly. Instead every acting shard appends to its own lane — lane index
-// == the sending shard — and the round epilogue flushes lanes 0..s-1 in
-// order. The flush order is a pure function of per-lane contents, so the
-// resulting global send sequence (and hence every downstream delivery
-// order) is bit-identical no matter how StepShard calls were scheduled
-// across threads.
+// == the sending shard — and the round epilogue drains the lanes into the
+// network in shard order. The drain order is a pure function of per-lane
+// contents, so the resulting global send sequence (and hence every
+// downstream delivery order) is bit-identical no matter how StepShard
+// calls were scheduled across threads.
 //
-// Two flush drivers exist:
+// The drain is the epilogue triple Seal / FlushSealedTo / FinishSealedFlush.
+// Seal closes the lanes: nothing may Send until FinishSealedFlush (Debug
+// builds abort if anything does — the round's sends are all queued before
+// the epilogue starts, and the next round's StepShard runs only after it
+// ends). FlushSealedTo is partitioned by *destination*: each partition
+// walks every lane in sender order, reconstructs each item's global flush
+// index (lane prefix + position) and Deposits only the items addressed to
+// its destination range. Each destination's ring is therefore touched by
+// exactly one partition and receives its items in exactly the sender-order
+// per-destination sequence — the only order schedulers ever observe — for
+// any partition count, one included. FinishSealedFlush folds the
+// sender-side traffic split and the global counters back serially and
+// retires the lanes.
 //
-//   * Flush(network, now) — the serial classic: walk the active lanes in
-//     shard order and Network::Send every item (single-threaded drivers and
-//     Scheduler::Step).
-//   * the pipelined triple Seal / FlushSealedTo / FinishSealedFlush — the
-//     lanes are *double-buffered*: Seal swaps the active buffer with the
-//     (empty) sealed one, so the scheduler's next round may keep appending
-//     to fresh lanes while pool workers drain the sealed buffer. The drain
-//     is partitioned by *destination*: each worker walks every sealed lane
-//     in sender order, reconstructs each item's global flush index (lane
-//     prefix + position, the seq the serial flush would have assigned) and
-//     Deposits only the items addressed to its destination range. Each
-//     destination's ring is therefore touched by exactly one worker and
-//     receives its items in exactly the serial per-destination order — the
-//     only order schedulers ever observe. FinishSealedFlush folds the
-//     sender-side traffic split and the global counters back serially and
-//     retires the sealed lanes.
-//
-// Lane memory: Flush used to clear() lanes but never release capacity, so
-// one burst round pinned the peak footprint for the rest of the run. Lanes
-// now keep a per-sender decayed high-water mark: each retire decays the
-// mark by 25% (floored by the round's size) and, once a lane's capacity
-// overshoots several times the mark, reallocates it to high-water + 50%
-// headroom — memory decays geometrically after a burst, mirroring the lazy
-// network rings. lane_memory() reports the footprint (see net::RingMemory).
+// Lane memory: every lane keeps a per-sender decayed high-water mark. Each
+// retire decays the mark by 25% (floored by the round's size) and, once a
+// lane's capacity overshoots several times the mark, reallocates it to
+// high-water + 50% headroom — memory decays geometrically after a burst,
+// mirroring the lazy network rings, instead of one burst round pinning
+// the peak footprint for the rest of the run. lane_memory() reports the
+// footprint (see net::RingMemory).
 #pragma once
 
 #include <algorithm>
@@ -50,7 +45,7 @@
 
 namespace stableshard::net {
 
-/// Footprint of the double-buffered send lanes (see OutboxSet::lane_memory).
+/// Footprint of the send lanes (see OutboxSet::lane_memory).
 struct LaneMemory {
   std::uint64_t lanes_with_capacity = 0;  ///< lanes holding an allocation
   std::uint64_t queued_items = 0;         ///< items currently buffered
@@ -61,13 +56,11 @@ struct LaneMemory {
 template <typename Payload>
 class OutboxSet {
  public:
-  /// Annotation-only capability for the sealed-buffer window: Seal
-  /// acquires it, FlushSealedTo requires it, FinishSealedFlush releases
-  /// it, and the serial Flush excludes it — so on clang, running the
-  /// serial flush (which drains the *active* lanes) inside a
-  /// Seal..FinishSealedFlush window fails compilation instead of
-  /// double-draining a round. Public so callers' annotations can name it;
-  /// no runtime state (see common/mutex.h).
+  /// Annotation-only capability for the sealed window: Seal acquires it,
+  /// FlushSealedTo requires it and FinishSealedFlush releases it — so on
+  /// clang, draining lanes that were never sealed fails compilation.
+  /// Public so callers' annotations can name it; no runtime state (see
+  /// common/mutex.h).
   common::PhaseCapability sealed_cap;
 
   struct Item {
@@ -77,58 +70,38 @@ class OutboxSet {
   };
 
   explicit OutboxSet(ShardId shards)
-      : buffers_{std::vector<Lane>(shards), std::vector<Lane>(shards)},
-        high_water_(shards, 0) {}
+      : lanes_(shards), high_water_(shards, 0) {}
 
   /// Queue a send from `from` to `to`. Must only be called from the
-  /// StepShard invocation of shard `from` (or a serial phase).
+  /// StepShard invocation of shard `from` (or a serial phase), never
+  /// inside a Seal..FinishSealedFlush window.
   void Send(ShardId from, ShardId to, Payload payload,
             std::uint64_t payload_units = 1) {
-    SSHARD_DCHECK(from < high_water_.size());
-    Lane& lane = buffers_[active_][from];
+    SSHARD_DCHECK(from < lanes_.size());
+    SSHARD_DCHECK(!sealed_ && "outbox Send inside a sealed window");
+    Lane& lane = lanes_[from];
     lane.items.push_back(Item{to, payload_units, std::move(payload)});
     lane.payload_units += payload_units;
   }
 
-  /// Serial: hand every queued item to the network at round `now`, lane by
-  /// lane in shard order, preserving per-lane append order.
-  void Flush(Network<Payload>& network, Round now)
-      SSHARD_EXCLUDES(sealed_cap) {
-    std::vector<Lane>& lanes = buffers_[active_];
-    for (ShardId from = 0; from < lanes.size(); ++from) {
-      for (Item& item : lanes[from].items) {
-        network.Send(from, item.to, now, std::move(item.payload),
-                     item.payload_units);
-      }
-      RetireLane(from, lanes[from]);
-    }
-  }
-
-  /// Serial: swap the active buffer with the (drained) sealed one. The
-  /// scheduler may keep Sending into the fresh active lanes while pool
-  /// workers FlushSealedTo the sealed buffer.
+  /// Serial: close the lanes for the round's drain.
   void Seal() SSHARD_ACQUIRE(sealed_cap) {
     sealed_cap.Acquire();  // annotation-only, no runtime effect
-#ifndef NDEBUG
-    for (const Lane& lane : buffers_[active_ ^ 1]) {
-      SSHARD_DCHECK(lane.items.empty() && "sealing over an undrained buffer");
-    }
-#endif
-    active_ ^= 1;
+    SSHARD_DCHECK(!sealed_ && "outbox sealed twice");
+    sealed_ = true;
   }
 
-  /// Partitioned drain of the sealed buffer: deposit every sealed item
-  /// addressed to a destination in [dest_begin, dest_end) at round `now`.
-  /// Walks all lanes in sender order so each item's global flush index is
-  /// reconstructed exactly as the serial Flush would have assigned it.
-  /// Safe to run concurrently for disjoint destination ranges.
+  /// Partitioned drain of the sealed lanes: deposit every item addressed
+  /// to a destination in [dest_begin, dest_end) at round `now`. Walks all
+  /// lanes in sender order so each item's global flush index is
+  /// reconstructed whatever the partitioning. Safe to run concurrently
+  /// for disjoint destination ranges.
   void FlushSealedTo(Network<Payload>& network, Round now, ShardId dest_begin,
                      ShardId dest_end)
       SSHARD_REQUIRES(sealed_cap, network.flush_cap) {
-    std::vector<Lane>& lanes = buffers_[active_ ^ 1];
     std::uint64_t seq = network.next_seq();
-    for (ShardId from = 0; from < lanes.size(); ++from) {
-      for (Item& item : lanes[from].items) {
+    for (ShardId from = 0; from < lanes_.size(); ++from) {
+      for (Item& item : lanes_[from].items) {
         if (item.to >= dest_begin && item.to < dest_end) {
           network.Deposit(from, item.to, now, seq, std::move(item.payload),
                           item.payload_units);
@@ -139,15 +112,14 @@ class OutboxSet {
   }
 
   /// Serial epilogue of the partitioned drain: fold sender-side traffic and
-  /// the global network counters, then retire the sealed lanes (clear +
-  /// high-water decay + shrink policy).
+  /// the global network counters, then retire the lanes (clear +
+  /// high-water decay + shrink policy) and reopen them for Send.
   void FinishSealedFlush(Network<Payload>& network)
       SSHARD_RELEASE(sealed_cap) SSHARD_RELEASE(network.flush_cap) {
-    std::vector<Lane>& lanes = buffers_[active_ ^ 1];
     std::uint64_t messages = 0;
     std::uint64_t payload_units = 0;
-    for (ShardId from = 0; from < lanes.size(); ++from) {
-      Lane& lane = lanes[from];
+    for (ShardId from = 0; from < lanes_.size(); ++from) {
+      Lane& lane = lanes_[from];
       if (!lane.items.empty()) {
         network.AddSenderTraffic(from, lane.items.size(), lane.payload_units);
         messages += lane.items.size();
@@ -156,31 +128,26 @@ class OutboxSet {
       RetireLane(from, lane);
     }
     network.CommitPartitionedSends(messages, payload_units);
+    sealed_ = false;
     sealed_cap.Release();  // annotation-only, no runtime effect
   }
 
   bool Empty() const {
-    for (const std::vector<Lane>& lanes : buffers_) {
-      for (const Lane& lane : lanes) {
-        if (!lane.items.empty()) return false;
-      }
+    for (const Lane& lane : lanes_) {
+      if (!lane.items.empty()) return false;
     }
     return true;
   }
 
-  ShardId shard_count() const {
-    return static_cast<ShardId>(high_water_.size());
-  }
+  ShardId shard_count() const { return static_cast<ShardId>(lanes_.size()); }
 
-  /// Measured lane footprint across both buffers (serial phases only).
+  /// Measured lane footprint (serial phases only).
   LaneMemory lane_memory() const {
     LaneMemory memory;
-    for (const std::vector<Lane>& lanes : buffers_) {
-      for (const Lane& lane : lanes) {
-        if (lane.items.capacity() > 0) ++memory.lanes_with_capacity;
-        memory.queued_items += lane.items.size();
-        memory.capacity_bytes += lane.items.capacity() * sizeof(Item);
-      }
+    for (const Lane& lane : lanes_) {
+      if (lane.items.capacity() > 0) ++memory.lanes_with_capacity;
+      memory.queued_items += lane.items.size();
+      memory.capacity_bytes += lane.items.capacity() * sizeof(Item);
     }
     for (const std::uint64_t mark : high_water_) {
       memory.high_water_items += mark;
@@ -218,12 +185,12 @@ class OutboxSet {
   /// worth a few KB).
   static constexpr std::size_t kShrinkFloor = 64;
 
-  /// buffers_[active_] receives Sends; buffers_[active_ ^ 1] is the sealed
-  /// buffer being drained (empty outside a Seal..FinishSealedFlush window).
-  std::vector<Lane> buffers_[2];
-  int active_ = 0;
+  /// One lane per sending shard.
+  std::vector<Lane> lanes_;
   /// Per-sender decayed high-water marks (serial phases only).
   std::vector<std::uint64_t> high_water_;
+  /// Inside a Seal..FinishSealedFlush window (Debug Send check).
+  bool sealed_ = false;
 };
 
 }  // namespace stableshard::net

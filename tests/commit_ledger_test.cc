@@ -10,12 +10,28 @@
 namespace stableshard::core {
 namespace {
 
+/// The round epilogue at one partition, as a serial run drives it.
+void FinishRoundSerially(CommitLedger& ledger, Round round) {
+  ledger.SealJournal(round, /*parts=*/1);
+  ledger.ResolveSealedPartition(0, round);
+  ledger.FinishSealedRound(round);
+}
+
 class CommitLedgerTest : public ::testing::Test {
  protected:
   CommitLedgerTest()
       : map_(chain::AccountMap::RoundRobin(4, 4)),
         ledger_(map_, /*initial_balance=*/1000),
         factory_(map_) {}
+
+  /// One confirm applied and resolved in its own round; returns whether
+  /// the whole transaction is resolved afterwards.
+  bool Confirm(const txn::Transaction& txn, const txn::SubTransaction& sub,
+               bool commit, Round round) {
+    ledger_.ApplyConfirmDeferred(txn.id(), sub, commit, round);
+    FinishRoundSerially(ledger_, round);
+    return ledger_.IsResolved(txn.id());
+  }
 
   chain::AccountMap map_;
   CommitLedger ledger_;
@@ -50,7 +66,7 @@ TEST_F(CommitLedgerTest, CommitAppliesActionsAndAppendsBlocks) {
   Round round = 5;
   bool resolved = false;
   for (const auto& sub : txn.subs()) {
-    resolved = ledger_.ApplyConfirm(txn.id(), sub, /*commit=*/true, round);
+    resolved = Confirm(txn, sub, /*commit=*/true, round);
     ++round;  // different shards, different rounds allowed (kOrdered)
   }
   EXPECT_TRUE(resolved);
@@ -67,8 +83,9 @@ TEST_F(CommitLedgerTest, AbortLeavesStateUntouched) {
   const auto txn = factory_.MakeTransfer(0, 0, 0, 1, 100, 500);
   ledger_.RegisterInjection(txn);
   for (const auto& sub : txn.subs()) {
-    ledger_.ApplyConfirm(txn.id(), sub, /*commit=*/false, 3);
+    ledger_.ApplyConfirmDeferred(txn.id(), sub, /*commit=*/false, 3);
   }
+  FinishRoundSerially(ledger_, 3);
   EXPECT_EQ(ledger_.aborted_txns(), 1u);
   EXPECT_EQ(ledger_.store(map_.OwnerOf(0)).BalanceOf(0), 1000);
   for (const auto& chain : ledger_.chains()) EXPECT_TRUE(chain.empty());
@@ -80,32 +97,31 @@ TEST_F(CommitLedgerTest, PendingCountsUnresolved) {
   ledger_.RegisterInjection(t0);
   ledger_.RegisterInjection(t1);
   EXPECT_EQ(ledger_.pending(), 2u);
-  ledger_.ApplyConfirm(t0.id(), t0.subs()[0], true, 1);
+  Confirm(t0, t0.subs()[0], true, 1);
   EXPECT_EQ(ledger_.pending(), 1u);
 }
 
 TEST_F(CommitLedgerTest, LatencyRecordedAtLastSub) {
   const auto txn = factory_.MakeTouch(0, /*injected=*/10, {0, 1});
   ledger_.RegisterInjection(txn);
-  ledger_.ApplyConfirm(txn.id(), txn.subs()[0], true, 20);
+  Confirm(txn, txn.subs()[0], true, 20);
   EXPECT_EQ(ledger_.latency().resolved(), 0u);
-  ledger_.ApplyConfirm(txn.id(), txn.subs()[1], true, 31);
+  Confirm(txn, txn.subs()[1], true, 31);
   EXPECT_EQ(ledger_.latency().resolved(), 1u);
   EXPECT_DOUBLE_EQ(ledger_.latency().average_latency(), 21.0);
 }
 
-TEST_F(CommitLedgerTest, SealedJournalMatchesSerialFlush) {
-  // Two identical deferred-confirm rounds: one drained by the serial
-  // FlushRound, the other by the sealed-journal triple with 3 partitions
-  // applied out of order. Every counter and the (order-sensitive) latency
-  // mean must agree bit-for-bit.
-  CommitLedger serial(map_, 1000);
-  CommitLedger pipelined(map_, 1000);
+TEST_F(CommitLedgerTest, PartitionedJournalMatchesOnePartition) {
+  // Two identical deferred-confirm rounds: one resolved in one partition,
+  // the other in 3 partitions applied out of order. Every counter and the
+  // (order-sensitive) latency mean must agree bit-for-bit.
+  CommitLedger single(map_, 1000);
+  CommitLedger split(map_, 1000);
 
   const auto a = factory_.MakeTouch(0, /*injected=*/0, {0, 1, 2});
   const auto b = factory_.MakeTouch(1, /*injected=*/1, {3});
   const auto c = factory_.MakeTouch(2, /*injected=*/1, {1, 3});
-  for (CommitLedger* ledger : {&serial, &pipelined}) {
+  for (CommitLedger* ledger : {&single, &split}) {
     for (const auto* txn : {&a, &b, &c}) {
       ledger->RegisterInjection(*txn);
     }
@@ -118,36 +134,36 @@ TEST_F(CommitLedgerTest, SealedJournalMatchesSerialFlush) {
     ledger->ApplyConfirmDeferred(c.id(), c.subs()[1], /*commit=*/false, 4);
   }
 
-  serial.FlushRound(4);
-  pipelined.SealJournal(/*round=*/4, /*parts=*/3);
-  pipelined.ResolveSealedPartition(2, 4);
-  pipelined.ResolveSealedPartition(0, 4);
-  pipelined.ResolveSealedPartition(1, 4);
-  pipelined.FinishSealedRound(4);
+  FinishRoundSerially(single, 4);
+  split.SealJournal(/*round=*/4, /*parts=*/3);
+  split.ResolveSealedPartition(2, 4);
+  split.ResolveSealedPartition(0, 4);
+  split.ResolveSealedPartition(1, 4);
+  split.FinishSealedRound(4);
 
   // Round 5: c's remaining sub arrives and completes the abort.
-  for (CommitLedger* ledger : {&serial, &pipelined}) {
+  for (CommitLedger* ledger : {&single, &split}) {
     ledger->ApplyConfirmDeferred(c.id(), c.subs()[0], /*commit=*/false, 5);
   }
-  serial.FlushRound(5);
-  pipelined.SealJournal(/*round=*/5, /*parts=*/2);
-  pipelined.ResolveSealedPartition(1, 5);
-  pipelined.ResolveSealedPartition(0, 5);
-  pipelined.FinishSealedRound(5);
+  FinishRoundSerially(single, 5);
+  split.SealJournal(/*round=*/5, /*parts=*/2);
+  split.ResolveSealedPartition(1, 5);
+  split.ResolveSealedPartition(0, 5);
+  split.FinishSealedRound(5);
 
-  EXPECT_EQ(serial.resolved(), pipelined.resolved());
-  EXPECT_EQ(serial.committed_txns(), pipelined.committed_txns());
-  EXPECT_EQ(serial.aborted_txns(), pipelined.aborted_txns());
-  EXPECT_EQ(serial.pending(), pipelined.pending());
-  EXPECT_EQ(serial.committed_txns(), 1u);
-  EXPECT_EQ(serial.aborted_txns(), 2u);
-  EXPECT_TRUE(pipelined.IsResolved(a.id()));
-  EXPECT_TRUE(pipelined.IsResolved(b.id()));
-  EXPECT_TRUE(pipelined.IsResolved(c.id()));
-  EXPECT_DOUBLE_EQ(serial.latency().average_latency(),
-                   pipelined.latency().average_latency());
-  EXPECT_DOUBLE_EQ(serial.latency().max_latency(),
-                   pipelined.latency().max_latency());
+  EXPECT_EQ(single.resolved(), split.resolved());
+  EXPECT_EQ(single.committed_txns(), split.committed_txns());
+  EXPECT_EQ(single.aborted_txns(), split.aborted_txns());
+  EXPECT_EQ(single.pending(), split.pending());
+  EXPECT_EQ(single.committed_txns(), 1u);
+  EXPECT_EQ(single.aborted_txns(), 2u);
+  EXPECT_TRUE(split.IsResolved(a.id()));
+  EXPECT_TRUE(split.IsResolved(b.id()));
+  EXPECT_TRUE(split.IsResolved(c.id()));
+  EXPECT_DOUBLE_EQ(single.latency().average_latency(),
+                   split.latency().average_latency());
+  EXPECT_DOUBLE_EQ(single.latency().max_latency(),
+                   split.latency().max_latency());
 }
 
 TEST_F(CommitLedgerTest, SealedJournalSupportsMorePartitionsThanEntries) {
@@ -166,8 +182,8 @@ TEST_F(CommitLedgerTest, SealedJournalSupportsMorePartitionsThanEntries) {
 TEST_F(CommitLedgerTest, MixedDecisionCountsAsAborted) {
   const auto txn = factory_.MakeTouch(0, 0, {0, 1});
   ledger_.RegisterInjection(txn);
-  ledger_.ApplyConfirm(txn.id(), txn.subs()[0], false, 1);
-  ledger_.ApplyConfirm(txn.id(), txn.subs()[1], false, 2);
+  Confirm(txn, txn.subs()[0], false, 1);
+  Confirm(txn, txn.subs()[1], false, 2);
   EXPECT_EQ(ledger_.aborted_txns(), 1u);
   EXPECT_EQ(ledger_.committed_txns(), 0u);
 }
@@ -185,10 +201,9 @@ TEST_F(CommitLedgerDeathTest, UnitShardCapacityEnforced) {
   const auto t1 = factory_.MakeTouch(0, 0, {0});
   ledger_.RegisterInjection(t0);
   ledger_.RegisterInjection(t1);
-  ledger_.ApplyConfirm(t0.id(), t0.subs()[0], true, /*round=*/7);
+  Confirm(t0, t0.subs()[0], true, /*round=*/7);
   // Second commit on the same shard in the same round must abort.
-  EXPECT_DEATH(ledger_.ApplyConfirm(t1.id(), t1.subs()[0], true, 7),
-               "two commits");
+  EXPECT_DEATH(Confirm(t1, t1.subs()[0], true, 7), "two commits");
 }
 
 TEST_F(CommitLedgerDeathTest, StaleCommitDetected) {
@@ -199,19 +214,36 @@ TEST_F(CommitLedgerDeathTest, StaleCommitDetected) {
   ledger_.RegisterInjection(t0);
   ledger_.RegisterInjection(t1);
   for (const auto& sub : t0.subs()) {
-    ledger_.ApplyConfirm(t0.id(), sub, true, 1);
+    ledger_.ApplyConfirmDeferred(t0.id(), sub, true, 1);
   }
+  FinishRoundSerially(ledger_, 1);
   for (const auto& sub : t1.subs()) {
     if (sub.destination == map_.OwnerOf(0)) {
-      EXPECT_DEATH(ledger_.ApplyConfirm(t1.id(), sub, true, 2), "stale");
+      EXPECT_DEATH(Confirm(t1, sub, true, 2), "stale");
     }
   }
 }
 
 TEST_F(CommitLedgerDeathTest, ConfirmForUnknownTxnAborts) {
   const auto txn = factory_.MakeTouch(0, 0, {0});
-  EXPECT_DEATH(ledger_.ApplyConfirm(txn.id(), txn.subs()[0], true, 1),
-               "unregistered");
+  EXPECT_DEATH(Confirm(txn, txn.subs()[0], true, 1), "unregistered");
+}
+
+TEST_F(CommitLedgerDeathTest, ConfirmInsideSealedWindowAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the sealed-window check compiles out under NDEBUG";
+#else
+  // The journal has one buffer: a confirm journaled between SealJournal
+  // and FinishSealedRound would land in the journal being resolved.
+  const auto txn = factory_.MakeTouch(0, 0, {0});
+  ledger_.RegisterInjection(txn);
+  ledger_.SealJournal(/*round=*/1, /*parts=*/1);
+  EXPECT_DEATH(
+      ledger_.ApplyConfirmDeferred(txn.id(), txn.subs()[0], true, 1),
+      "confirm journaled inside a sealed window");
+  ledger_.ResolveSealedPartition(0, 1);
+  ledger_.FinishSealedRound(1);
+#endif
 }
 
 }  // namespace

@@ -122,15 +122,15 @@ TEST(WalRecordTest, CorruptChecksumDetected) {
   EXPECT_EQ(reader.Next(&out), WalReader::Status::kCorrupt);
 }
 
-TEST(WalManagerTest, PartitionedPersistMatchesSerial) {
-  // The same staged records persisted through the sealed-partition triple
-  // (parts applied out of order) and through PersistAll must produce
-  // byte-identical lanes and the same durable sequence numbers.
-  MemoryStorage serial_storage(5);
-  MemoryStorage pipelined_storage(5);
-  WalManager serial(5, &serial_storage);
-  WalManager pipelined(5, &pipelined_storage);
-  for (WalManager* wal : {&serial, &pipelined}) {
+TEST(WalManagerTest, PartitionedPersistMatchesOnePartition) {
+  // The same staged records persisted in one partition and in three
+  // partitions applied out of order must produce byte-identical lanes and
+  // the same durable sequence numbers.
+  MemoryStorage single_storage(5);
+  MemoryStorage split_storage(5);
+  WalManager single(5, &single_storage);
+  WalManager split(5, &split_storage);
+  for (WalManager* wal : {&single, &split}) {
     for (ShardId shard = 0; shard < 5; ++shard) {
       wal->StageCommit(shard, /*txn=*/100 + shard, /*round=*/3,
                        /*payload_digest=*/777, {Deposit(shard, 5)});
@@ -139,27 +139,49 @@ TEST(WalManagerTest, PartitionedPersistMatchesSerial) {
   }
 
   std::vector<ShardId> durable_order;
-  pipelined.set_on_durable(
+  split.set_on_durable(
       [&durable_order](ShardId shard, std::uint64_t seq, Round round) {
         durable_order.push_back(shard);
         EXPECT_EQ(round, 3u);
         EXPECT_GE(seq, 1u);
       });
 
-  serial.PersistAll(3);
-  pipelined.Seal(3, /*parts=*/3);
-  pipelined.PersistSealedPartition(2);
-  pipelined.PersistSealedPartition(0);
-  pipelined.PersistSealedPartition(1);
-  pipelined.FinishSealedRound();
+  single.Seal(3, /*parts=*/1);
+  single.PersistSealedPartition(0);
+  single.FinishSealedRound();
+  split.Seal(3, /*parts=*/3);
+  split.PersistSealedPartition(2);
+  split.PersistSealedPartition(0);
+  split.PersistSealedPartition(1);
+  split.FinishSealedRound();
 
   for (ShardId shard = 0; shard < 5; ++shard) {
-    EXPECT_EQ(serial_storage.wal[shard], pipelined_storage.wal[shard]);
-    EXPECT_EQ(serial.durable_seq(shard), pipelined.durable_seq(shard));
+    EXPECT_EQ(single_storage.wal[shard], split_storage.wal[shard]);
+    EXPECT_EQ(single.durable_seq(shard), split.durable_seq(shard));
   }
-  EXPECT_EQ(serial.records_persisted(), pipelined.records_persisted());
+  EXPECT_EQ(single.records_persisted(), split.records_persisted());
   // Callbacks fire serially in shard order whatever the partition order.
   EXPECT_EQ(durable_order, (std::vector<ShardId>{0, 1, 2, 3, 4}));
+}
+
+TEST(WalManagerDeathTest, StageInsideSealedWindowAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the sealed-window check compiles out under NDEBUG";
+#else
+  // The staging lanes have one buffer: a record staged between Seal and
+  // FinishSealedRound would land in the lanes being persisted.
+  MemoryStorage storage(2);
+  WalManager wal(2, &storage);
+  wal.StageAbort(0, /*txn=*/1, /*round=*/4);
+  wal.Seal(4, /*parts=*/1);
+  EXPECT_DEATH(wal.StageAbort(1, /*txn=*/2, /*round=*/4),
+               "WAL staged inside a seal");
+  EXPECT_DEATH(wal.StageCommit(1, /*txn=*/3, /*round=*/4,
+                               /*payload_digest=*/9, {Deposit(1, 5)}),
+               "WAL staged inside a seal");
+  wal.PersistSealedPartition(0);
+  wal.FinishSealedRound();
+#endif
 }
 
 TEST(CheckpointTest, SectionRoundtrip) {
@@ -319,7 +341,8 @@ class RecoveryTest : public ::testing::Test {
     ledger_.AttachWal(&wal_);
   }
 
-  /// Commit one round's worth of transfers and persist it, serial-path.
+  /// Commit one round's worth of transfers and persist it, as a serial
+  /// run's one-partition epilogue does.
   void CommitRound(Round round) {
     const auto txn = factory_.MakeTransfer(
         /*home=*/static_cast<ShardId>(round % 4), /*injected=*/round,
@@ -329,7 +352,9 @@ class RecoveryTest : public ::testing::Test {
     for (const auto& sub : txn.subs()) {
       ledger_.ApplyConfirmDeferred(txn.id(), sub, /*commit=*/true, round);
     }
-    ledger_.FlushRound(round);
+    ledger_.SealJournal(round, /*parts=*/1);
+    ledger_.ResolveSealedPartition(0, round);
+    ledger_.FinishSealedRound(round);
   }
 
   Blob ImageOf(ShardId shard) {

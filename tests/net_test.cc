@@ -395,6 +395,16 @@ TEST(Network, MaxInFlightTracksPeakAcrossDeliveries) {
   EXPECT_EQ(network.stats().max_in_flight, 3u);
 }
 
+/// The round epilogue at one partition, as a serial run drives it.
+template <typename Payload>
+void FlushOnePartition(OutboxSet<Payload>& outbox, Network<Payload>& network,
+                       Round now) {
+  outbox.Seal();
+  network.flush_cap.Acquire();  // annotation-only, no runtime effect
+  outbox.FlushSealedTo(network, now, 0, outbox.shard_count());
+  outbox.FinishSealedFlush(network);
+}
+
 TEST(Outbox, FlushesLanesInShardOrder) {
   UniformMetric metric(4);
   Network<int> network(metric);
@@ -405,7 +415,7 @@ TEST(Outbox, FlushesLanesInShardOrder) {
   outbox.Send(2, 1, 21, /*payload_units=*/3);
   outbox.Send(1, 3, 10);
   EXPECT_FALSE(outbox.Empty());
-  outbox.Flush(network, /*now=*/5);
+  FlushOnePartition(outbox, network, /*now=*/5);
   EXPECT_TRUE(outbox.Empty());
   EXPECT_EQ(network.stats().messages_sent, 4u);
   EXPECT_EQ(network.stats().payload_units, 6u);
@@ -419,15 +429,15 @@ TEST(Outbox, FlushesLanesInShardOrder) {
   EXPECT_EQ(delivered[3].payload, 21);
 }
 
-TEST(Outbox, PartitionedFlushMatchesSerial) {
-  // Same sends through the serial Flush and through the pipelined triple
-  // (sealed, drained in two destination partitions applied in REVERSE
-  // order): delivery order, per-envelope seqs and every stat must agree.
+TEST(Outbox, PartitionedFlushMatchesOnePartition) {
+  // Same sends drained in one partition and in two destination partitions
+  // applied in REVERSE order: delivery order, per-envelope seqs and every
+  // stat must agree.
   LineMetric metric(4);
-  Network<int> serial_net(metric);
-  Network<int> pipelined_net(metric);
-  OutboxSet<int> serial_outbox(4);
-  OutboxSet<int> pipelined_outbox(4);
+  Network<int> single_net(metric);
+  Network<int> split_net(metric);
+  OutboxSet<int> single_outbox(4);
+  OutboxSet<int> split_outbox(4);
   const auto send_all = [](OutboxSet<int>& outbox) {
     outbox.Send(2, 0, 20);
     outbox.Send(0, 1, 1);
@@ -435,40 +445,40 @@ TEST(Outbox, PartitionedFlushMatchesSerial) {
     outbox.Send(1, 3, 13);
     outbox.Send(3, 3, 33, /*payload_units=*/2);
   };
-  send_all(serial_outbox);
-  send_all(pipelined_outbox);
+  send_all(single_outbox);
+  send_all(split_outbox);
 
-  serial_outbox.Flush(serial_net, /*now=*/5);
-  pipelined_outbox.Seal();
+  FlushOnePartition(single_outbox, single_net, /*now=*/5);
+  split_outbox.Seal();
+  split_net.flush_cap.Acquire();  // annotation-only, no runtime effect
   // Reverse partition order: per-destination order must not care.
-  pipelined_outbox.FlushSealedTo(pipelined_net, /*now=*/5, 2, 4);
-  pipelined_outbox.FlushSealedTo(pipelined_net, /*now=*/5, 0, 2);
-  pipelined_outbox.FinishSealedFlush(pipelined_net);
-  EXPECT_TRUE(pipelined_outbox.Empty());
+  split_outbox.FlushSealedTo(split_net, /*now=*/5, 2, 4);
+  split_outbox.FlushSealedTo(split_net, /*now=*/5, 0, 2);
+  split_outbox.FinishSealedFlush(split_net);
+  EXPECT_TRUE(split_outbox.Empty());
 
-  EXPECT_EQ(serial_net.stats().messages_sent,
-            pipelined_net.stats().messages_sent);
-  EXPECT_EQ(serial_net.stats().payload_units,
-            pipelined_net.stats().payload_units);
-  EXPECT_EQ(serial_net.stats().max_in_flight,
-            pipelined_net.stats().max_in_flight);
+  EXPECT_EQ(single_net.stats().messages_sent,
+            split_net.stats().messages_sent);
+  EXPECT_EQ(single_net.stats().payload_units,
+            split_net.stats().payload_units);
+  EXPECT_EQ(single_net.stats().max_in_flight,
+            split_net.stats().max_in_flight);
   for (ShardId shard = 0; shard < 4; ++shard) {
-    EXPECT_EQ(serial_net.shard_traffic(shard).messages_in,
-              pipelined_net.shard_traffic(shard).messages_in);
-    EXPECT_EQ(serial_net.shard_traffic(shard).messages_out,
-              pipelined_net.shard_traffic(shard).messages_out);
-    EXPECT_EQ(serial_net.shard_traffic(shard).payload_in,
-              pipelined_net.shard_traffic(shard).payload_in);
-    EXPECT_EQ(serial_net.shard_traffic(shard).payload_out,
-              pipelined_net.shard_traffic(shard).payload_out);
-    EXPECT_EQ(serial_net.pending_for(shard),
-              pipelined_net.pending_for(shard));
+    EXPECT_EQ(single_net.shard_traffic(shard).messages_in,
+              split_net.shard_traffic(shard).messages_in);
+    EXPECT_EQ(single_net.shard_traffic(shard).messages_out,
+              split_net.shard_traffic(shard).messages_out);
+    EXPECT_EQ(single_net.shard_traffic(shard).payload_in,
+              split_net.shard_traffic(shard).payload_in);
+    EXPECT_EQ(single_net.shard_traffic(shard).payload_out,
+              split_net.shard_traffic(shard).payload_out);
+    EXPECT_EQ(single_net.pending_for(shard), split_net.pending_for(shard));
   }
   // Drain both across the whole delivery horizon: the seq-merged global
   // order must be identical envelope by envelope.
   for (Round now = 6; now < 10; ++now) {
-    const auto expected = serial_net.Deliver(now);
-    const auto actual = pipelined_net.Deliver(now);
+    const auto expected = single_net.Deliver(now);
+    const auto actual = split_net.Deliver(now);
     ASSERT_EQ(expected.size(), actual.size()) << "round " << now;
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(expected[i].payload, actual[i].payload);
@@ -479,30 +489,58 @@ TEST(Outbox, PartitionedFlushMatchesSerial) {
   }
 }
 
-TEST(Outbox, DoubleBufferAcceptsSendsWhileSealedDrains) {
-  // Round r is sealed; round r+1's sends land in the fresh active buffer
-  // and are not disturbed by the sealed drain.
+TEST(Outbox, FlushMatchesPerMessageSend) {
+  // Network::Send is the one-message case of the partitioned flush: the
+  // same sends through Send and through the outbox leave identical rings
+  // and counters.
+  LineMetric metric(4);
+  Network<int> direct(metric);
+  Network<int> flushed(metric);
+  OutboxSet<int> outbox(4);
+  direct.Send(0, 3, 4, 30, /*payload_units=*/2);
+  direct.Send(1, 0, 4, 10);
+  direct.Send(1, 3, 4, 13, /*payload_units=*/5);
+  outbox.Send(0, 3, 30, /*payload_units=*/2);
+  outbox.Send(1, 0, 10);
+  outbox.Send(1, 3, 13, /*payload_units=*/5);
+  FlushOnePartition(outbox, flushed, /*now=*/4);
+
+  EXPECT_EQ(direct.stats().messages_sent, flushed.stats().messages_sent);
+  EXPECT_EQ(direct.stats().payload_units, flushed.stats().payload_units);
+  EXPECT_EQ(direct.stats().max_in_flight, flushed.stats().max_in_flight);
+  EXPECT_EQ(direct.next_seq(), flushed.next_seq());
+  for (ShardId shard = 0; shard < 4; ++shard) {
+    EXPECT_EQ(direct.shard_traffic(shard).messages_out,
+              flushed.shard_traffic(shard).messages_out);
+    EXPECT_EQ(direct.shard_traffic(shard).payload_in,
+              flushed.shard_traffic(shard).payload_in);
+  }
+  for (Round now = 5; now < 9; ++now) {
+    const auto expected = direct.Deliver(now);
+    const auto actual = flushed.Deliver(now);
+    ASSERT_EQ(expected.size(), actual.size()) << "round " << now;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(expected[i].payload, actual[i].payload);
+      EXPECT_EQ(expected[i].seq, actual[i].seq);
+    }
+  }
+}
+
+TEST(OutboxDeathTest, SendInsideSealedWindowAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the sealed-window check compiles out under NDEBUG";
+#else
+  // The lanes have one buffer: a send between Seal and FinishSealedFlush
+  // would land in the lanes being drained.
   UniformMetric metric(2);
   Network<int> network(metric);
   OutboxSet<int> outbox(2);
   outbox.Send(0, 1, 100);
   outbox.Seal();
-  outbox.Send(1, 0, 200);  // next round, while sealed buffer undrained
-  EXPECT_FALSE(outbox.Empty());
-  outbox.FlushSealedTo(network, /*now=*/0, 0, 2);
+  EXPECT_DEATH(outbox.Send(1, 0, 200), "outbox Send inside a sealed window");
+  network.flush_cap.Acquire();  // annotation-only, no runtime effect
   outbox.FinishSealedFlush(network);
-  EXPECT_FALSE(outbox.Empty());  // the round r+1 send is still queued
-  outbox.Seal();
-  outbox.FlushSealedTo(network, /*now=*/1, 0, 2);
-  outbox.FinishSealedFlush(network);
-  EXPECT_TRUE(outbox.Empty());
-
-  const auto first = network.Deliver(1);
-  ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0].payload, 100);
-  const auto second = network.Deliver(2);
-  ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(second[0].payload, 200);
+#endif
 }
 
 TEST(Outbox, LaneShrinkReleasesBurstCapacity) {
@@ -515,7 +553,7 @@ TEST(Outbox, LaneShrinkReleasesBurstCapacity) {
   for (std::size_t i = 0; i < kBurst; ++i) {
     outbox.Send(0, 1, static_cast<int>(i));
   }
-  outbox.Flush(network, /*now=*/0);
+  FlushOnePartition(outbox, network, /*now=*/0);
   network.Deliver(1);
   const LaneMemory after_burst = outbox.lane_memory();
   EXPECT_GE(after_burst.high_water_items, kBurst);
@@ -525,7 +563,7 @@ TEST(Outbox, LaneShrinkReleasesBurstCapacity) {
   // released instead of staying pinned at the burst peak forever.
   for (Round round = 1; round < 60; ++round) {
     outbox.Send(0, 1, 1);
-    outbox.Flush(network, round);
+    FlushOnePartition(outbox, network, round);
     network.Deliver(round + 1);
   }
   const LaneMemory settled = outbox.lane_memory();

@@ -1,9 +1,9 @@
 // Shard-parallel round loop tests: worker_threads = N must be bit-identical
 // to worker_threads = 1 for every scheduler (the decomposition contract of
 // core/scheduler.h), the pipelined epilogue (destination-partitioned flush
-// + double-buffered outbox/journal + overlapped adversary generation) must
-// be bit-identical to the serial EndRound, and parallel runs must satisfy
-// the same drained-run invariants as serial ones.
+// on the pool + overlapped adversary generation) must be bit-identical to
+// the one-partition inline epilogue, and parallel runs must satisfy the
+// same drained-run invariants as serial ones.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -64,9 +64,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Pipelined-vs-serial bit-identity across the scheduler x strategy matrix:
-// for every combination, workers = 1 (serial epilogue, no pool), workers =
-// 4 with the pipelined epilogue and workers = 4 with it forced off must
-// produce the same SimResult down to the last float bit.
+// for every combination, workers = 1 (no pool, one inline partition),
+// workers = 4 with the pipelined epilogue and workers = 4 with it forced
+// off must produce the same SimResult down to the last float bit.
 class PipelinedMatrix
     : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
 };
@@ -122,7 +122,7 @@ TEST(ParallelEngine, PipelinedBurstAndDrainIdentical) {
 }
 
 TEST(ParallelEngine, PipelinedHandoffHammer) {
-  // TSan target: maximize contention on the double-buffered handoff — an
+  // TSan target: maximize contention on the epilogue handoff — an
   // oversubscribed pool (8 workers, 1..few cores, 8 shards) so flush
   // partitions, the StepShard fan-out of the next round and the overlapped
   // generation interleave as wildly as the OS allows, across many rounds
