@@ -20,19 +20,19 @@ bool Adversary::TryInjectOne(Round round,
                              std::vector<txn::Transaction>* out) {
   for (std::uint32_t attempt = 0; attempt < config_.max_blocked_attempts;
        ++attempt) {
-    Candidate candidate;
-    if (!strategy_->Next(round, rng_, &candidate)) return false;
-    const std::vector<ShardId> touched = candidate.TouchedShards(*map_);
-    SSHARD_CHECK(!touched.empty());
-    if (!buckets_.CanConsume(touched)) {
+    if (!strategy_->Next(round, rng_, &candidate_)) return false;
+    candidate_.TouchedShards(*map_, touched_);
+    SSHARD_CHECK(!touched_.empty());
+    if (!buckets_.CanConsume(touched_)) {
       ++stats_.denied;
       continue;  // redraw — another candidate may fit the remaining tokens
     }
-    buckets_.Consume(touched);
-    if (recorder_) recorder_(round, candidate.home, candidate.accesses);
-    out->push_back(factory_.Make(candidate.home, round, candidate.accesses));
+    buckets_.Consume(touched_);
+    if (recorder_) recorder_(round, candidate_.home, candidate_.accesses);
+    out->push_back(
+        factory_.Make(candidate_.home, round, candidate_.accesses));
     ++stats_.injected;
-    stats_.congestion += touched.size();
+    stats_.congestion += touched_.size();
     return true;
   }
   return false;

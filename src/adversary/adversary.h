@@ -78,7 +78,9 @@ class Adversary {
   }
 
  private:
-  /// Try to admit one candidate; returns true if injected.
+  /// Try to admit one candidate; returns true if injected. A denied
+  /// candidate allocates nothing: it is drawn into `candidate_` and checked
+  /// against `touched_`, both reused across calls.
   bool TryInjectOne(Round round, std::vector<txn::Transaction>* out);
 
   AdversaryConfig config_;
@@ -88,6 +90,8 @@ class Adversary {
   txn::TxnFactory factory_;
   Rng rng_;
   InjectionRecorder recorder_;
+  Candidate candidate_;           ///< TryInjectOne's draw scratch
+  std::vector<ShardId> touched_;  ///< candidate_'s distinct shards
   double pacing_budget_ = 0.0;  ///< accumulated congestion budget
   bool burst_done_ = false;
   AdversaryStats stats_;

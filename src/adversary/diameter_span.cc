@@ -21,11 +21,7 @@ DiameterSpanStrategy::DiameterSpanStrategy(const chain::AccountMap& map,
   // anchor an access). One O(populated^2) scan at construction, cut short
   // as soon as a pair realizes the metric diameter — immediately for the
   // closed-form topologies, whose extreme shards come first.
-  std::vector<ShardId> populated;
-  for (ShardId shard = 0; shard < map.shard_count(); ++shard) {
-    if (!map.AccountsOf(shard).empty()) populated.push_back(shard);
-  }
-  SSHARD_CHECK(!populated.empty());
+  const std::vector<ShardId> populated = internal::PopulatedShards(map);
   endpoint_a_ = endpoint_b_ = populated.front();
   Distance best = 0;
   const Distance diameter = metric.Diameter();
@@ -56,32 +52,28 @@ bool DiameterSpanStrategy::Next(Round round, Rng& rng, Candidate* out) {
   // Alternate the home between the endpoints so both ends inject.
   out->home = flip_ ? endpoint_b_ : endpoint_a_;
   flip_ = !flip_;
-  out->accesses.clear();
+  internal::ClearAccesses(out, std::max(options_.max_shards_per_txn, 2u));
 
-  std::vector<AccountId> chosen;
   const auto& a_accounts = map_->AccountsOf(endpoint_a_);
-  chosen.push_back(a_accounts[rng.NextBounded(a_accounts.size())]);
+  out->accesses.push_back(
+      internal::TouchSpec(a_accounts[rng.NextBounded(a_accounts.size())]));
   if (endpoint_b_ != endpoint_a_) {
     // Distinct shards own disjoint accounts, so no dedup needed here.
     const auto& b_accounts = map_->AccountsOf(endpoint_b_);
-    chosen.push_back(b_accounts[rng.NextBounded(b_accounts.size())]);
+    out->accesses.push_back(
+        internal::TouchSpec(b_accounts[rng.NextBounded(b_accounts.size())]));
   }
 
   // Pad with uniform-random distinct accounts up to the drawn span (the
   // anchors already realize the diameter; the padding adds conflict mass).
   const std::uint32_t span =
       std::max(internal::PickSpan(options_, rng),
-               static_cast<std::uint32_t>(chosen.size()));
-  for (std::uint32_t attempt = 0; attempt < 4 * span && chosen.size() < span;
-       ++attempt) {
-    const auto account =
-        static_cast<AccountId>(rng.NextBounded(map_->account_count()));
-    if (std::find(chosen.begin(), chosen.end(), account) == chosen.end()) {
-      chosen.push_back(account);
-    }
-  }
-  for (const AccountId account : chosen) {
-    out->accesses.push_back(internal::TouchSpec(account));
+               static_cast<std::uint32_t>(out->accesses.size()));
+  for (std::uint32_t attempt = 0;
+       attempt < 4 * span && out->accesses.size() < span; ++attempt) {
+    internal::AddDistinctTouch(
+        out->accesses,
+        static_cast<AccountId>(rng.NextBounded(map_->account_count())));
   }
   internal::MaybePoison(out->accesses, options_.abort_probability, rng);
   return true;

@@ -4,6 +4,7 @@
 // running hot — the trigger scenario for leader-queue backpressure.
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "adversary/strategy.h"
 #include "adversary/strategy_internal.h"
@@ -13,54 +14,53 @@
 
 namespace stableshard::adversary {
 
+namespace {
+
+/// Zipf(theta) prefix sums over ranks 1..ranks.
+std::vector<double> ZipfPrefixSums(std::size_t ranks, double theta) {
+  SSHARD_CHECK(theta >= 0.0);
+  std::vector<double> sums;
+  sums.reserve(ranks);
+  double total = 0.0;
+  for (std::size_t rank = 1; rank <= ranks; ++rank) {
+    total += 1.0 / std::pow(static_cast<double>(rank), theta);
+    sums.push_back(total);
+  }
+  return sums;
+}
+
+}  // namespace
+
+// Zipf rank follows shard id among the account-owning shards (an
+// account-free shard can never be a destination): the lowest-id populated
+// shard is rank 1, the hottest.
 HotDestinationStrategy::HotDestinationStrategy(const chain::AccountMap& map,
                                                double theta,
                                                RandomStrategyOptions options)
-    : map_(&map), options_(options) {
-  SSHARD_CHECK(theta >= 0.0);
-  // Zipf rank follows shard id among the account-owning shards (an
-  // account-free shard can never be a destination): the lowest-id populated
-  // shard is rank 1, the hottest.
-  double total = 0.0;
-  for (ShardId shard = 0; shard < map.shard_count(); ++shard) {
-    if (map.AccountsOf(shard).empty()) continue;
-    populated_.push_back(shard);
-    total += 1.0 / std::pow(static_cast<double>(populated_.size()), theta);
-    cumulative_.push_back(total);
-  }
-  SSHARD_CHECK(!populated_.empty());
-}
+    : map_(&map),
+      options_(options),
+      populated_(internal::PopulatedShards(map)),
+      zipf_(ZipfPrefixSums(populated_.size(), theta)) {}
 
 ShardId HotDestinationStrategy::PickShard(Rng& rng) const {
-  const double u = rng.NextDouble() * cumulative_.back();
-  const auto it = std::upper_bound(cumulative_.begin(), cumulative_.end(), u);
-  const auto index =
-      std::min(static_cast<std::size_t>(it - cumulative_.begin()),
-               populated_.size() - 1);
-  return populated_[index];
+  const double u = rng.NextDouble() * zipf_.total();
+  return populated_[std::min(zipf_.UpperBound(u), populated_.size() - 1)];
 }
 
 bool HotDestinationStrategy::Next(Round round, Rng& rng, Candidate* out) {
   (void)round;
   const std::uint32_t span = internal::PickSpan(options_, rng);
   out->home = PickShard(rng);
-  out->accesses.clear();
+  internal::ClearAccesses(out, options_.max_shards_per_txn);
   // Zipf-draw shards, then a uniform account on each; collect distinct
   // accounts with a bounded number of redraws — under heavy skew the hot
   // shard's accounts exhaust quickly and the candidate is simply narrower
   // (still >= 1 access: the first draw always lands).
-  std::vector<AccountId> chosen;
-  chosen.reserve(span);
-  for (std::uint32_t attempt = 0; attempt < 4 * span && chosen.size() < span;
-       ++attempt) {
+  for (std::uint32_t attempt = 0;
+       attempt < 4 * span && out->accesses.size() < span; ++attempt) {
     const auto& accounts = map_->AccountsOf(PickShard(rng));
-    const AccountId account = accounts[rng.NextBounded(accounts.size())];
-    if (std::find(chosen.begin(), chosen.end(), account) == chosen.end()) {
-      chosen.push_back(account);
-    }
-  }
-  for (const AccountId account : chosen) {
-    out->accesses.push_back(internal::TouchSpec(account));
+    internal::AddDistinctTouch(out->accesses,
+                               accounts[rng.NextBounded(accounts.size())]);
   }
   internal::MaybePoison(out->accesses, options_.abort_probability, rng);
   return true;

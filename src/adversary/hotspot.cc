@@ -20,13 +20,12 @@ bool HotspotStrategy::Next(Round round, Rng& rng, Candidate* out) {
   (void)round;
   const std::uint32_t span = internal::PickSpan(options_, rng);
   out->home = static_cast<ShardId>(rng.NextBounded(map_->shard_count()));
-  out->accesses.clear();
+  internal::ClearAccesses(out, options_.max_shards_per_txn);
   out->accesses.push_back(internal::TouchSpec(hotspot_));
   if (span > 1) {
     // span-1 extra accounts distinct from the hotspot.
-    const auto picks =
-        rng.SampleWithoutReplacement(map_->account_count() - 1, span - 1);
-    for (const auto raw : picks) {
+    rng.SampleWithoutReplacement(map_->account_count() - 1, span - 1, picks_);
+    for (const auto raw : picks_) {
       const AccountId account = raw >= hotspot_ ? raw + 1 : raw;
       out->accesses.push_back(internal::TouchSpec(account));
     }

@@ -28,6 +28,8 @@ LocalStrategy::LocalStrategy(const chain::AccountMap& map,
       // productive (the candidate still has a valid home).
       reachable_[home].push_back(0);
     }
+    // Room for the widest pool's sample, so a warm strategy never regrows.
+    picks_.reserve(reachable_[home].size());
   }
 }
 
@@ -38,9 +40,9 @@ bool LocalStrategy::Next(Round round, Rng& rng, Candidate* out) {
   const std::uint32_t span =
       std::min<std::uint32_t>(internal::PickSpan(options_, rng),
                               static_cast<std::uint32_t>(pool.size()));
-  const auto picks = rng.SampleWithoutReplacement(pool.size(), span);
-  out->accesses.clear();
-  for (const auto index : picks) {
+  rng.SampleWithoutReplacement(pool.size(), span, picks_);
+  internal::ClearAccesses(out, options_.max_shards_per_txn);
+  for (const auto index : picks_) {
     out->accesses.push_back(internal::TouchSpec(pool[index]));
   }
   internal::MaybePoison(out->accesses, options_.abort_probability, rng);

@@ -4,16 +4,15 @@
 
 namespace stableshard::adversary {
 
-std::vector<ShardId> Candidate::TouchedShards(
-    const chain::AccountMap& map) const {
-  std::vector<ShardId> shards;
-  shards.reserve(accesses.size());
+void Candidate::TouchedShards(const chain::AccountMap& map,
+                              std::vector<ShardId>& out) const {
+  out.clear();
   for (const auto& access : accesses) {
-    shards.push_back(map.OwnerOf(access.account));
+    const ShardId shard = map.OwnerOf(access.account);
+    if (std::find(out.begin(), out.end(), shard) == out.end()) {
+      out.push_back(shard);
+    }
   }
-  std::sort(shards.begin(), shards.end());
-  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-  return shards;
 }
 
 }  // namespace stableshard::adversary

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "chain/account_map.h"
+#include "common/guide_table.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "net/metric.h"
@@ -30,18 +31,31 @@ struct Candidate {
   ShardId home = kInvalidShard;
   std::vector<txn::AccessSpec> accesses;
 
-  /// Distinct owner shards of the accessed accounts (ascending).
-  std::vector<ShardId> TouchedShards(const chain::AccountMap& map) const;
+  /// Distinct owner shards of the accessed accounts into `out` (replacing
+  /// its contents), in first-access order: the token-bucket check needs
+  /// the set, not its order. Allocates nothing once `out` holds
+  /// accesses.size() shards.
+  void TouchedShards(const chain::AccountMap& map,
+                     std::vector<ShardId>& out) const;
+
+  std::vector<ShardId> TouchedShards(const chain::AccountMap& map) const {
+    std::vector<ShardId> shards;
+    TouchedShards(map, shards);
+    return shards;
+  }
 };
 
 class Strategy {
  public:
   virtual ~Strategy() = default;
 
-  /// Produce the next candidate for round `round`. Strategies are pull-based
-  /// and may be called many times per round; return false only if the
-  /// strategy has structurally nothing more to offer (most strategies always
-  /// return true — pacing is the Adversary's job).
+  /// Produce the next candidate for round `round` into `out`, overwriting
+  /// its home and accesses. Strategies are pull-based and may be called
+  /// many times per round; return false only if the strategy has
+  /// structurally nothing more to offer (most strategies always return
+  /// true — pacing is the Adversary's job). The generating strategies keep
+  /// their per-call scratch as members, so a call into a reused `out`
+  /// allocates nothing once warm.
   virtual bool Next(Round round, Rng& rng, Candidate* out) = 0;
 
   /// Human-readable name for logs and CSV.
@@ -71,6 +85,7 @@ class UniformRandomStrategy final : public Strategy {
  private:
   const chain::AccountMap* map_;
   RandomStrategyOptions options_;
+  std::vector<std::uint64_t> picks_;  ///< account sample scratch
 };
 
 /// Hotspot: every transaction writes a fixed account plus k-1 random ones;
@@ -87,6 +102,7 @@ class HotspotStrategy final : public Strategy {
   const chain::AccountMap* map_;
   AccountId hotspot_;
   RandomStrategyOptions options_;
+  std::vector<std::uint64_t> picks_;  ///< account sample scratch
 };
 
 /// Theorem 1's lower-bound construction: k+1 transactions T_1..T_{k+1}
@@ -127,6 +143,7 @@ class LocalStrategy final : public Strategy {
   RandomStrategyOptions options_;
   // Precomputed: per home shard, the accounts reachable within radius.
   std::vector<std::vector<AccountId>> reachable_;
+  std::vector<std::uint64_t> picks_;  ///< reachable-index sample scratch
 };
 
 /// Single-shard transactions (k = 1): the fully parallel regime where the
@@ -161,13 +178,17 @@ class HotDestinationStrategy final : public Strategy {
   /// The rank-1 destination.
   ShardId hot_shard() const { return populated_.front(); }
 
+  /// Zipf prefix sums over the populated shards, with the exact guide-table
+  /// lookup PickShard draws through.
+  const GuideTable& zipf() const { return zipf_; }
+
  private:
   ShardId PickShard(Rng& rng) const;
 
   const chain::AccountMap* map_;
   RandomStrategyOptions options_;
-  std::vector<ShardId> populated_;   ///< shards owning >= 1 account
-  std::vector<double> cumulative_;   ///< Zipf prefix sums over populated_
+  std::vector<ShardId> populated_;  ///< shards owning >= 1 account
+  GuideTable zipf_;                 ///< Zipf prefix sums over populated_
 };
 
 /// Diameter-spanning transactions: every candidate touches accounts on both

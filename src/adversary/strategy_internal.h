@@ -1,7 +1,8 @@
 // Shared construction helpers for the concrete strategy translation units
 // (uniform_random.cc, hotspot.cc, ...): touch-access specs, abort
-// poisoning, and span selection. Internal to src/adversary — strategies
-// outside the tree get the same behavior by composing public APIs.
+// poisoning, span selection, and the account-owning shards. Internal to
+// src/adversary — strategies outside the tree get the same behavior by
+// composing public APIs.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "adversary/strategy.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "txn/txn_factory.h"
 
@@ -27,6 +29,22 @@ inline txn::AccessSpec TouchSpec(AccountId account) {
   return spec;
 }
 
+/// Empty a reused candidate's accesses, keeping room for `width` of them:
+/// a candidate whose first draw came out narrower never regrows later.
+inline void ClearAccesses(Candidate* out, std::size_t width) {
+  out->accesses.clear();
+  out->accesses.reserve(width);
+}
+
+/// Append a touch of `account` unless `accesses` already touches it.
+inline void AddDistinctTouch(std::vector<txn::AccessSpec>& accesses,
+                             AccountId account) {
+  for (const txn::AccessSpec& spec : accesses) {
+    if (spec.account == account) return;
+  }
+  accesses.push_back(TouchSpec(account));
+}
+
 inline void MaybePoison(std::vector<txn::AccessSpec>& accesses,
                         double probability, Rng& rng) {
   if (probability <= 0.0 || accesses.empty()) return;
@@ -42,6 +60,17 @@ inline std::uint32_t PickSpan(const RandomStrategyOptions& options, Rng& rng) {
   }
   return static_cast<std::uint32_t>(
       1 + rng.NextBounded(options.max_shards_per_txn));
+}
+
+/// Shards owning at least one account, ascending: an account-free shard can
+/// anchor no access. Aborts if no shard owns an account.
+inline std::vector<ShardId> PopulatedShards(const chain::AccountMap& map) {
+  std::vector<ShardId> populated;
+  for (ShardId shard = 0; shard < map.shard_count(); ++shard) {
+    if (!map.AccountsOf(shard).empty()) populated.push_back(shard);
+  }
+  SSHARD_CHECK(!populated.empty());
+  return populated;
 }
 
 /// Options every registered builder derives from the validated SimConfig

@@ -18,10 +18,10 @@ UniformRandomStrategy::UniformRandomStrategy(const chain::AccountMap& map,
 bool UniformRandomStrategy::Next(Round round, Rng& rng, Candidate* out) {
   (void)round;
   const std::uint32_t span = internal::PickSpan(options_, rng);
-  const auto picks = rng.SampleWithoutReplacement(map_->account_count(), span);
+  rng.SampleWithoutReplacement(map_->account_count(), span, picks_);
   out->home = static_cast<ShardId>(rng.NextBounded(map_->shard_count()));
-  out->accesses.clear();
-  for (const auto account : picks) {
+  internal::ClearAccesses(out, options_.max_shards_per_txn);
+  for (const auto account : picks_) {
     out->accesses.push_back(internal::TouchSpec(account));
   }
   internal::MaybePoison(out->accesses, options_.abort_probability, rng);

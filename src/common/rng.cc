@@ -1,37 +1,37 @@
 #include "common/rng.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <numeric>
 
 namespace stableshard {
 
-std::vector<std::uint64_t> Rng::SampleWithoutReplacement(
-    std::uint64_t population, std::uint64_t count) {
+void Rng::SampleWithoutReplacement(std::uint64_t population,
+                                   std::uint64_t count,
+                                   std::vector<std::uint64_t>& out) {
   SSHARD_CHECK(count <= population);
-  std::vector<std::uint64_t> result;
-  result.reserve(count);
-  if (count == 0) return result;
+  out.clear();
+  if (count == 0) return;
 
-  // Dense case: partial Fisher-Yates over an explicit index array.
+  // Dense case: partial Fisher-Yates with `out` as the index array. Step i
+  // swaps only positions >= i, so out[i] is final once step i is done.
   if (population <= 4 * count || population <= 64) {
-    std::vector<std::uint64_t> indices(population);
-    for (std::uint64_t i = 0; i < population; ++i) indices[i] = i;
+    out.resize(population);
+    std::iota(out.begin(), out.end(), std::uint64_t{0});
     for (std::uint64_t i = 0; i < count; ++i) {
       const std::uint64_t j = i + NextBounded(population - i);
-      std::swap(indices[i], indices[j]);
-      result.push_back(indices[i]);
+      std::swap(out[i], out[j]);
     }
-    return result;
+    out.resize(count);
+    return;
   }
 
   // Sparse case: rejection sampling.
-  std::unordered_set<std::uint64_t> chosen;
-  chosen.reserve(count * 2);
-  while (result.size() < count) {
+  while (out.size() < count) {
     const std::uint64_t candidate = NextBounded(population);
-    if (chosen.insert(candidate).second) result.push_back(candidate);
+    if (std::find(out.begin(), out.end(), candidate) == out.end()) {
+      out.push_back(candidate);
+    }
   }
-  return result;
 }
 
 }  // namespace stableshard

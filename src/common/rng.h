@@ -103,10 +103,21 @@ class Rng {
   }
 
   /// Sample `count` distinct values from [0, population) without
-  /// replacement. O(count) expected when count << population; falls back to
-  /// partial Fisher-Yates otherwise.
+  /// replacement into `out` (replacing its contents), in draw order. Dense
+  /// requests (population <= 4 * count or population <= 64) run a partial
+  /// Fisher-Yates over `out` itself; sparse ones redraw on a repeat, found
+  /// by a linear scan of `out` — every caller samples one transaction's
+  /// accounts, so count is small. Allocates nothing once `out`'s capacity
+  /// covers `population` (dense) or `count` (sparse).
+  void SampleWithoutReplacement(std::uint64_t population, std::uint64_t count,
+                                std::vector<std::uint64_t>& out);
+
   std::vector<std::uint64_t> SampleWithoutReplacement(std::uint64_t population,
-                                                      std::uint64_t count);
+                                                      std::uint64_t count) {
+    std::vector<std::uint64_t> sample;
+    SampleWithoutReplacement(population, count, sample);
+    return sample;
+  }
 
   /// Derive an independent child generator (for per-task determinism in
   /// threaded sweeps regardless of scheduling order).

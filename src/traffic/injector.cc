@@ -46,14 +46,13 @@ void OpenLoopInjector::GenerateRound(Round round,
   std::uint64_t due = backlog_ + PullArrivals();
   backlog_ = 0;
   for (std::uint64_t i = 0; i < due; ++i) {
-    adversary::Candidate candidate;
-    if (!strategy_->Next(round, rng_, &candidate)) {
+    if (!strategy_->Next(round, rng_, &candidate_)) {
       // Structurally out of shapes (a fully consumed trace): the remaining
       // arrivals stay offered-but-never-injected.
       break;
     }
-    if (recorder_) recorder_(round, candidate.home, candidate.accesses);
-    out.push_back(factory_.Make(candidate.home, round, candidate.accesses));
+    if (recorder_) recorder_(round, candidate_.home, candidate_.accesses);
+    out.push_back(factory_.Make(candidate_.home, round, candidate_.accesses));
     ++injected_;
   }
 }

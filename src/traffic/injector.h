@@ -139,6 +139,7 @@ class OpenLoopInjector final : public Injector {
   txn::TxnFactory factory_;
   Rng rng_;
   InjectionRecorder recorder_;
+  adversary::Candidate candidate_;  ///< the strategy's reused output
   Round wall_cursor_ = 0;     ///< wall rounds consumed from the schedule
   std::uint64_t backlog_ = 0; ///< arrivals waiting out a protocol stall
   std::uint64_t offered_ = 0;

@@ -1,6 +1,6 @@
 #include "txn/txn_factory.h"
 
-#include <map>
+#include <algorithm>
 
 #include "common/check.h"
 
@@ -10,11 +10,26 @@ Transaction TxnFactory::Make(ShardId home, Round injected,
                              const std::vector<AccessSpec>& accesses) {
   SSHARD_CHECK(home < accounts_->shard_count());
   SSHARD_CHECK(!accesses.empty());
-  std::map<ShardId, SubTransaction> by_shard;
-  for (const AccessSpec& spec : accesses) {
-    const ShardId owner = accounts_->OwnerOf(spec.account);
-    SubTransaction& sub = by_shard[owner];
-    sub.destination = owner;
+  // Group accesses by owner shard: subs ascending by destination, accesses
+  // in input order within a sub. The (owner, position) keys are distinct,
+  // so sorting them is the stable grouping.
+  by_owner_.clear();
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    by_owner_.emplace_back(accounts_->OwnerOf(accesses[i].account), i);
+  }
+  std::sort(by_owner_.begin(), by_owner_.end());
+  std::size_t owners = 1;
+  for (std::size_t i = 1; i < by_owner_.size(); ++i) {
+    owners += by_owner_[i].first != by_owner_[i - 1].first;
+  }
+  std::vector<SubTransaction> subs;
+  subs.reserve(owners);
+  for (const auto& [owner, index] : by_owner_) {
+    if (subs.empty() || subs.back().destination != owner) {
+      subs.emplace_back().destination = owner;
+    }
+    SubTransaction& sub = subs.back();
+    const AccessSpec& spec = accesses[index];
     if (spec.has_condition) {
       sub.conditions.push_back(spec.condition);
     }
@@ -23,12 +38,6 @@ Transaction TxnFactory::Make(ShardId home, Round injected,
       action.account = spec.account;
       sub.actions.push_back(action);
     }
-  }
-  std::vector<SubTransaction> subs;
-  subs.reserve(by_shard.size());
-  for (auto& [shard, sub] : by_shard) {
-    (void)shard;
-    subs.push_back(std::move(sub));
   }
   return Transaction(next_id_++, home, injected, std::move(subs));
 }

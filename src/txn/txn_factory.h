@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "chain/account_map.h"
@@ -37,7 +38,9 @@ class TxnFactory {
   TxnId created() const { return next_id_; }
 
   /// Build a transaction touching the given accounts. Accesses are grouped
-  /// into one subtransaction per owning shard. `home` must be a valid shard.
+  /// into one subtransaction per owning shard, subs ascending by
+  /// destination, accesses in input order within a sub. `home` must be a
+  /// valid shard.
   Transaction Make(ShardId home, Round injected,
                    const std::vector<AccessSpec>& accesses);
 
@@ -57,6 +60,8 @@ class TxnFactory {
  private:
   const chain::AccountMap* accounts_;
   TxnId next_id_ = 0;
+  /// Make's grouping scratch: (owner shard, access position) per access.
+  std::vector<std::pair<ShardId, std::size_t>> by_owner_;
 };
 
 }  // namespace stableshard::txn

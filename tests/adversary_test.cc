@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <deque>
 #include <tuple>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "adversary/strategy.h"
 #include "adversary/token_bucket.h"
 #include "chain/account_map.h"
+#include "common/guide_table.h"
 #include "common/rng.h"
 #include "net/metric.h"
 
@@ -93,6 +96,30 @@ TEST(UniformRandomStrategy, RespectsKCap) {
     EXPECT_LE(candidate.accesses.size(), 5u);
     EXPECT_LE(candidate.TouchedShards(map).size(), 5u);
     EXPECT_LT(candidate.home, 16u);
+  }
+}
+
+TEST(Candidate, TouchedShardsIntoCallerStorageIsTheOwnerSet) {
+  const auto map = MakeMap(16, 64);
+  RandomStrategyOptions options;
+  options.max_shards_per_txn = 8;
+  options.exact_k = false;
+  UniformRandomStrategy strategy(map, options);
+  Rng rng(12);
+  Candidate candidate;
+  std::vector<ShardId> touched{99, 98, 97};  // stale contents are replaced
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(strategy.Next(0, rng, &candidate));
+    std::vector<ShardId> expected;
+    for (const auto& access : candidate.accesses) {
+      expected.push_back(map.OwnerOf(access.account));
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    candidate.TouchedShards(map, touched);
+    std::sort(touched.begin(), touched.end());
+    EXPECT_EQ(touched, expected);  // the same set, each shard once
   }
 }
 
@@ -218,6 +245,55 @@ TEST(HotDestinationStrategy, ConcentratesTrafficOnHotShard) {
   for (ShardId shard = 1; shard < 16; ++shard) {
     EXPECT_GT(touches[0], touches[shard]) << "shard " << shard;
     EXPECT_GT(touches[shard], 0) << "shard " << shard;
+  }
+}
+
+// The guide-table lookup PickShard draws through must return exactly
+// std::upper_bound's index, rounding included, or the Zipf draw would pick
+// a different shard for some u.
+TEST(HotDestinationStrategy, GuideTableLookupIsUpperBoundExactly) {
+  Rng rng(31);
+  for (const double theta : {0.0, 0.5, 1.0, 1.2, 2.0, 8.0}) {
+    for (const AccountId populated : {1u, 2u, 63u, 64u, 1000u}) {
+      // Shards past `populated` own no account: they must not be ranked.
+      for (const ShardId account_free : {0u, 7u}) {
+        const auto map = MakeMap(populated + account_free, populated);
+        const HotDestinationStrategy strategy(map, theta,
+                                              RandomStrategyOptions{});
+        const GuideTable& zipf = strategy.zipf();
+        const std::vector<double>& sums = zipf.prefix_sums();
+        ASSERT_EQ(sums.size(), populated);
+        std::size_t checked = 0, wrong = 0;
+        double first_wrong = 0.0;
+        const auto check = [&](double u) {
+          const auto expected = static_cast<std::size_t>(
+              std::upper_bound(sums.begin(), sums.end(), u) - sums.begin());
+          ++checked;
+          if (zipf.UpperBound(u) != expected && wrong++ == 0) first_wrong = u;
+        };
+        const auto check_around = [&](double u) {
+          check(u);
+          check(std::nextafter(u, 0.0));
+          check(std::nextafter(u, HUGE_VAL));
+        };
+        check(0.0);
+        for (const double sum : sums) check_around(sum);
+        // Every bucket edge, computed as the table computes it.
+        const std::size_t buckets = GuideTable::kEntriesPerValue * populated;
+        const double scale = static_cast<double>(buckets) / zipf.total();
+        for (std::size_t bucket = 0; bucket <= buckets; ++bucket) {
+          check_around(static_cast<double>(bucket) / scale);
+        }
+        if (account_free == 0) {
+          for (int draw = 0; draw < 1000000; ++draw) {
+            check(rng.NextDouble() * zipf.total());
+          }
+        }
+        EXPECT_EQ(wrong, 0u) << "theta " << theta << ", " << populated
+                             << " populated shards, first wrong u "
+                             << first_wrong << " of " << checked;
+      }
+    }
   }
 }
 

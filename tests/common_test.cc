@@ -4,14 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/arena.h"
 #include "common/csv.h"
+#include "common/guide_table.h"
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -88,6 +93,55 @@ TEST(Rng, SampleWithoutReplacementDistinct) {
   }
 }
 
+// A reference sampler with an explicit index array (dense) and a hash set
+// (sparse). The out-parameter implementation must match it draw for draw.
+std::vector<std::uint64_t> ReferenceSample(Rng& rng, std::uint64_t population,
+                                           std::uint64_t count) {
+  std::vector<std::uint64_t> result;
+  if (count == 0) return result;
+  if (population <= 4 * count || population <= 64) {
+    std::vector<std::uint64_t> indices(population);
+    for (std::uint64_t i = 0; i < population; ++i) indices[i] = i;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint64_t j = i + rng.NextBounded(population - i);
+      std::swap(indices[i], indices[j]);
+      result.push_back(indices[i]);
+    }
+    return result;
+  }
+  std::unordered_set<std::uint64_t> chosen;
+  while (result.size() < count) {
+    const std::uint64_t candidate = rng.NextBounded(population);
+    if (chosen.insert(candidate).second) result.push_back(candidate);
+  }
+  return result;
+}
+
+TEST(Rng, SampleIntoReusedStorageMatchesReferenceDrawForDraw) {
+  // The grid crosses the dense/sparse switch (population <= 4 * count or
+  // population <= 64) from both sides.
+  const std::uint64_t populations[] = {1,  2,   3,   8,   63,  64,   65,
+                                       100, 128, 129, 257, 1000, 100000};
+  const std::uint64_t counts[] = {0, 1, 2, 3, 4, 8, 16, 25, 32, 33, 64, 65,
+                                  250};
+  std::vector<std::uint64_t> sample{7, 7, 7};  // stale contents are replaced
+  std::uint64_t seed = 1;
+  for (const std::uint64_t population : populations) {
+    for (const std::uint64_t count : counts) {
+      if (count > population) continue;
+      for (int rep = 0; rep < 4; ++rep) {
+        Rng rng(seed), reference_rng(seed);
+        ++seed;
+        rng.SampleWithoutReplacement(population, count, sample);
+        EXPECT_EQ(sample, ReferenceSample(reference_rng, population, count))
+            << "population " << population << " count " << count;
+        EXPECT_EQ(rng(), reference_rng())
+            << "population " << population << " count " << count;
+      }
+    }
+  }
+}
+
 TEST(Rng, SampleFullPopulationIsPermutation) {
   Rng rng(17);
   const auto sample = rng.SampleWithoutReplacement(16, 16);
@@ -113,6 +167,30 @@ TEST(Rng, ForkProducesIndependentStream) {
     if (parent() == child()) ++equal;
   }
   EXPECT_LT(equal, 3);
+}
+
+// Where u, the double just below bucket b's lower edge, still computes
+// bucket b and that edge is itself a prefix sum, the guide entry is one
+// past u's answer: only the walk back makes the lookup exact. The search
+// mirrors the table's own scale and edge arithmetic.
+TEST(GuideTable, ExactWhereTheBucketIndexRoundsUp) {
+  const std::size_t buckets = 2 * GuideTable::kEntriesPerValue;
+  int cases = 0;
+  for (int tenths = 1; tenths <= 200; ++tenths) {
+    const double total = tenths / 10.0;
+    const double scale = static_cast<double>(buckets) / total;
+    for (std::size_t bucket = 1; bucket < buckets; ++bucket) {
+      const double edge = static_cast<double>(bucket) / scale;
+      const double u = std::nextafter(edge, 0.0);
+      if (u * scale < static_cast<double>(bucket) || edge >= total) continue;
+      const GuideTable table({edge, total});
+      EXPECT_EQ(table.UpperBound(u), 0u) << "total " << total;
+      EXPECT_EQ(table.UpperBound(edge), 1u) << "total " << total;
+      EXPECT_EQ(table.UpperBound(total), 2u) << "total " << total;
+      ++cases;
+    }
+  }
+  EXPECT_GT(cases, 0);
 }
 
 TEST(MathUtil, CeilSqrtExactValues) {

@@ -28,6 +28,17 @@ TEST(Transaction, FactoryGroupsAccessesByShard) {
   EXPECT_EQ(txn.destinations(), (std::vector<ShardId>{0, 1}));
   EXPECT_EQ(txn.shard_span(), 2u);
   EXPECT_EQ(txn.injected(), 5u);
+
+  // Subs ascend by destination; accesses keep their input order in a sub.
+  const auto mixed = factory.MakeTouch(0, 5, {5, 0, 4, 1});
+  ASSERT_EQ(mixed.destinations(), (std::vector<ShardId>{0, 1}));
+  const auto action_accounts = [](const SubTransaction& sub) {
+    std::vector<AccountId> accounts;
+    for (const auto& action : sub.actions) accounts.push_back(action.account);
+    return accounts;
+  };
+  EXPECT_EQ(action_accounts(mixed.subs()[0]), (std::vector<AccountId>{0, 4}));
+  EXPECT_EQ(action_accounts(mixed.subs()[1]), (std::vector<AccountId>{5, 1}));
 }
 
 TEST(Transaction, IdsIncrease) {
