@@ -43,8 +43,9 @@ int main() {
         rng.NextBool(0.33) ? 100 * kInitial : amount;
     const auto txn = factory.MakeTransfer(accounts.OwnerOf(from), round,
                                           from, to, amount, minimum);
-    ledger.RegisterInjection(txn);
-    scheduler.Inject(txn);
+    // The ledger keeps the one copy of the transaction; the scheduler
+    // keeps its id.
+    scheduler.Inject(ledger.RegisterInjection(txn));
     // Trickle: a couple of transactions per round.
     if (i % 2 == 1) scheduler.Step(round++);
   }

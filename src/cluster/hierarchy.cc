@@ -250,8 +250,7 @@ const std::vector<std::uint32_t>& Hierarchy::clusters_containing(
   return containing_[shard];
 }
 
-const Cluster& Hierarchy::FindHomeCluster(ShardId home, Distance x,
-                                          std::uint64_t salt) const {
+const Cluster& Hierarchy::ScanHomeCluster(ShardId home, Distance x) const {
   SSHARD_CHECK(home < metric_->shard_count());
   const std::vector<ShardId> neighborhood = metric_->Neighborhood(home, x);
   for (const std::uint32_t id : containing_[home]) {
@@ -264,19 +263,33 @@ const Cluster& Hierarchy::FindHomeCluster(ShardId home, Distance x,
         break;
       }
     }
-    if (!contains_all) continue;
-    // Top-layer roots are interchangeable full-membership copies: hash the
-    // assignment across them so diameter-spanning load spreads instead of
-    // piling onto the first root the scan happens to reach.
-    if (cluster.top_root && top_roots_.size() > 1) {
-      const std::uint64_t pick =
-          (static_cast<std::uint64_t>(home) + salt) % top_roots_.size();
-      return clusters_[top_roots_[pick]];
-    }
-    return cluster;
+    if (contains_all) return cluster;
   }
   SSHARD_CHECK(false && "no home cluster found (missing top cluster?)");
   return clusters_.front();
+}
+
+const Cluster& Hierarchy::SaltRoot(const Cluster& cluster, ShardId home,
+                                   std::uint64_t salt) const {
+  // Top-layer roots are interchangeable full-membership copies: hash the
+  // assignment across them so diameter-spanning load spreads instead of
+  // piling onto the first root the scan happens to reach.
+  if (cluster.top_root && top_roots_.size() > 1) {
+    const std::uint64_t pick =
+        (static_cast<std::uint64_t>(home) + salt) % top_roots_.size();
+    return clusters_[top_roots_[pick]];
+  }
+  return cluster;
+}
+
+const Cluster& HomeClusterCache::Find(ShardId home, Distance x,
+                                      std::uint64_t salt) {
+  if (by_home_.empty()) by_home_.resize(hierarchy_->metric().shard_count());
+  SSHARD_CHECK(home < by_home_.size());
+  std::vector<std::uint32_t>& row = by_home_[home];
+  if (row.size() <= x) row.resize(static_cast<std::size_t>(x) + 1, kUnknown);
+  if (row[x] == kUnknown) row[x] = hierarchy_->ScanHomeCluster(home, x).id;
+  return hierarchy_->SaltRoot(hierarchy_->clusters()[row[x]], home, salt);
 }
 
 std::uint32_t Hierarchy::MaxMembership(std::uint32_t layer) const {

@@ -92,7 +92,19 @@ class Hierarchy {
   /// instead of piling onto the first one. All roots are full-membership
   /// and leadered, so any choice is sound.
   const Cluster& FindHomeCluster(ShardId home, Distance x,
-                                 std::uint64_t salt = 0) const;
+                                 std::uint64_t salt = 0) const {
+    return SaltRoot(ScanHomeCluster(home, x), home, salt);
+  }
+
+  /// FindHomeCluster before the salt: the first qualifying cluster of the
+  /// scan. O(s) — it builds the x-neighborhood of `home`.
+  const Cluster& ScanHomeCluster(ShardId home, Distance x) const;
+
+  /// The salt step of FindHomeCluster: a top-layer root of a multi-root
+  /// hierarchy becomes root (home + salt) mod top_roots; any other cluster
+  /// is returned as is.
+  const Cluster& SaltRoot(const Cluster& cluster, ShardId home,
+                          std::uint64_t salt) const;
 
   /// Ids of the full-membership top-layer roots (size >= 1 after Finalize).
   const std::vector<std::uint32_t>& top_roots() const { return top_roots_; }
@@ -122,6 +134,25 @@ class Hierarchy {
   /// which shards already lead a cluster of that layer (AddCluster avoids
   /// them when the cluster has an untaken qualifying candidate).
   std::vector<std::vector<std::uint8_t>> leads_in_layer_;
+};
+
+/// FindHomeCluster memoized per (home, x): the unsalted scan result is
+/// cached and the multi-root salt applied per call, so a lookup is O(1)
+/// after the first one for its (home, x). Filled lazily, per home up to
+/// the largest x asked, so construction allocates nothing. Not
+/// thread-safe: FDS calls it from the serial inject phase only.
+class HomeClusterCache {
+ public:
+  explicit HomeClusterCache(const Hierarchy& hierarchy)
+      : hierarchy_(&hierarchy) {}
+
+  const Cluster& Find(ShardId home, Distance x, std::uint64_t salt);
+
+ private:
+  static constexpr std::uint32_t kUnknown = UINT32_MAX;
+
+  const Hierarchy* hierarchy_;
+  std::vector<std::vector<std::uint32_t>> by_home_;  ///< [home][x] -> id
 };
 
 }  // namespace stableshard::cluster

@@ -27,7 +27,7 @@ void BackpressureScheduler::Inject(const txn::Transaction& txn) {
   // decisions during a parallel phase would race with the round body.
   SSHARD_SERIAL_PHASE(ownership_);
   if (hot_[txn.home()]) {
-    spill_[txn.home()].push_back(txn);
+    spill_[txn.home()].push_back(txn.id());
     ++spilled_now_;
     ++deferred_total_;
     return;
@@ -65,7 +65,7 @@ void BackpressureScheduler::BeginRound(Round round) {
     // shed; at small scale that flood made the peak *worse* than plain
     // fds), floored at 1 so the spill always drains once injection stops
     // even when high == low leaves zero headroom.
-    std::vector<txn::Transaction>& spill = spill_[shard];
+    std::vector<TxnId>& spill = spill_[shard];
     std::size_t& head = spill_head_[shard];
     if (!hot_[shard] && head < spill.size()) {
       const std::uint64_t budget = std::max<std::uint64_t>(
@@ -74,7 +74,7 @@ void BackpressureScheduler::BeginRound(Round round) {
       const std::size_t admit =
           std::min<std::size_t>(spill.size() - head, budget);
       for (std::size_t i = 0; i < admit; ++i) {
-        FdsScheduler::Inject(spill[head + i]);
+        FdsScheduler::Inject(ledger_->Body(spill[head + i]));
       }
       head += admit;
       if (head == spill.size()) {
@@ -82,7 +82,7 @@ void BackpressureScheduler::BeginRound(Round round) {
         // burst's worth of transactions, and the repo's memory
         // discipline (ring/lane decay) is that bursts never pin peak
         // capacity for the rest of the run.
-        std::vector<txn::Transaction>().swap(spill);
+        std::vector<TxnId>().swap(spill);
         head = 0;
       }
       readmitted_total_ += admit;

@@ -109,12 +109,13 @@ class BackpressureScheduler final : public core::FdsScheduler {
   /// yet fallen back to the low one (std::uint8_t — vector<bool> has no
   /// per-element addresses and its proxies pessimize the serial scan).
   std::vector<std::uint8_t> hot_;
-  /// spill_[home]: transactions deferred at Inject, in injection order.
+  /// spill_[home]: ids of the transactions deferred at Inject, in
+  /// injection order (the ledger keeps their bodies while they wait).
   /// Entries before spill_head_[home] were already re-admitted — a head
   /// cursor instead of erase-from-front keeps paced drain O(admitted)
   /// per round; the vector's capacity is released (swap-to-empty) once
   /// everything re-entered, so a hot burst never pins peak memory.
-  std::vector<std::vector<txn::Transaction>> spill_;
+  std::vector<std::vector<TxnId>> spill_;
   std::vector<std::size_t> spill_head_;
   std::uint64_t spilled_now_ = 0;      ///< total parked right now
   std::uint64_t deferred_total_ = 0;   ///< Inject calls that parked

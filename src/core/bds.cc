@@ -21,19 +21,17 @@ BdsScheduler::BdsScheduler(const net::ShardMetric& metric,
   color_leaders_ = std::min<std::uint32_t>(config.color_leaders,
                                            metric.shard_count());
   // BDS is specified for the uniform model: Phase offsets assume
-  // unit-distance delivery everywhere.
-  for (ShardId a = 0; a < metric.shard_count(); ++a) {
-    for (ShardId b = a + 1; b < metric.shard_count(); ++b) {
-      SSHARD_CHECK(metric.distance(a, b) == 1 &&
-                   "BDS requires the uniform communication model");
-    }
-  }
+  // unit-distance delivery everywhere. Distinct shards are at distance
+  // >= 1 (the metric contract), so that is a diameter of at most 1, which
+  // the metric memoizes.
+  SSHARD_CHECK(metric.Diameter() <= 1 &&
+               "BDS requires the uniform communication model");
 }
 
 void BdsScheduler::Inject(const txn::Transaction& txn) {
   SSHARD_SERIAL_PHASE(ownership_);
   SSHARD_CHECK(txn.home() < pending_.size());
-  pending_[txn.home()].push_back(txn);
+  pending_[txn.home()].push_back(txn.id());
 }
 
 std::uint64_t BdsScheduler::pending_in_queues() const {
@@ -150,20 +148,14 @@ void BdsScheduler::ShipPending(ShardId home) {
   SSHARD_OWNED(ownership_, home);
   HomeState& state = home_[home];
   state.by_color.clear();
-  auto& queue = pending_[home];
+  std::vector<TxnId>& queue = pending_[home];
   if (queue.empty()) return;
   TxnBatchMsg batch;
   batch.epoch = epoch_index_;
-  batch.txns.reserve(queue.size());
-  while (!queue.empty()) {
-    txn::Transaction txn = std::move(queue.front());
-    queue.pop_front();
-    if (color_leaders_ <= 1) {
-      InFlightTxn in_flight;
-      in_flight.txn = txn;
-      state.in_epoch.emplace(txn.id(), std::move(in_flight));
-    }
-    batch.txns.push_back(std::move(txn));
+  batch.txns.assign(queue.begin(), queue.end());
+  queue.clear();
+  if (color_leaders_ <= 1) {
+    for (const TxnId id : batch.txns) state.in_epoch.emplace(id, InFlightTxn{});
   }
   const std::uint64_t units = batch.txns.size();
   outbox_.Send(home, leader_, Message{std::move(batch)}, units);
@@ -180,7 +172,7 @@ void BdsScheduler::LeaderColorAndReply(Round round) {
   common::ArenaVector<const txn::Transaction*> view{
       common::ArenaAllocator<const txn::Transaction*>(&step_arena_)};
   view.reserve(leader_inbox_.size());
-  for (const auto& txn : leader_inbox_) view.push_back(&txn);
+  for (const TxnId id : leader_inbox_) view.push_back(&ledger_->Body(id));
   const txn::ColoringResult coloring =
       ColorShardCliques(view, config_.coloring, step_arena_);
   SSHARD_DCHECK(IsProperShardColoring(view, coloring.color));
@@ -198,7 +190,7 @@ void BdsScheduler::LeaderColorAndReply(Round round) {
     // round-for-round.
     std::vector<ColorClassMsg> per_color(num_colors_);
     for (std::size_t v = 0; v < view.size(); ++v) {
-      per_color[coloring.color[v]].txns.push_back(*view[v]);
+      per_color[coloring.color[v]].txns.push_back(view[v]->id());
     }
     for (Color color = 0; color < num_colors_; ++color) {
       ColorClassMsg& msg = per_color[color];
@@ -242,17 +234,20 @@ void BdsScheduler::SendSubTxnsForColor(ShardId home, Color color) {
   HomeState& state = home_[home];
   if (color >= state.by_color.size()) return;
   for (const TxnId id : state.by_color[color]) {
-    const auto it = state.in_epoch.find(id);
-    SSHARD_CHECK(it != state.in_epoch.end());
-    const txn::Transaction& txn = it->second.txn;
-    for (const txn::SubTransaction& sub : txn.subs()) {
-      SubTxnMsg msg;
-      msg.txn = id;
-      msg.coordinator = txn.home();
-      msg.height = Height{0, 0, 0, color, id};
-      msg.sub = sub;
-      outbox_.Send(home, sub.destination, Message{std::move(msg)});
-    }
+    SSHARD_CHECK(state.in_epoch.count(id) == 1);
+    SendSubTxns(home, id, color);
+  }
+}
+
+void BdsScheduler::SendSubTxns(ShardId coordinator, TxnId id, Color color) {
+  const std::vector<txn::SubTransaction>& subs = ledger_->Body(id).subs();
+  for (std::uint32_t index = 0; index < subs.size(); ++index) {
+    SubTxnMsg msg;
+    msg.txn = id;
+    msg.coordinator = coordinator;
+    msg.height = Height{0, 0, 0, color, id};
+    msg.sub = index;
+    outbox_.Send(coordinator, subs[index].destination, Message{msg});
   }
 }
 
@@ -268,20 +263,9 @@ void BdsScheduler::CoLeaderSendColor(ShardId shard, Color color) {
   CoLeaderState& state = co_[shard];
   const auto it = state.by_color.find(color);
   if (it == state.by_color.end()) return;
-  for (txn::Transaction& txn : it->second) {
-    const TxnId id = txn.id();
-    for (const txn::SubTransaction& sub : txn.subs()) {
-      SubTxnMsg msg;
-      msg.txn = id;
-      msg.coordinator = shard;
-      msg.height = Height{0, 0, 0, color, id};
-      msg.sub = sub;
-      outbox_.Send(shard, sub.destination, Message{std::move(msg)});
-    }
-    InFlightTxn in_flight;
-    in_flight.color = color;
-    in_flight.txn = std::move(txn);
-    state.in_flight.emplace(id, std::move(in_flight));
+  for (const TxnId id : it->second) {
+    SendSubTxns(shard, id, color);
+    state.in_flight.emplace(id, InFlightTxn{});
   }
   state.by_color.erase(it);
 }
@@ -300,11 +284,10 @@ void BdsScheduler::CollectVote(
   } else {
     ++in_flight.abort_votes;
   }
-  const auto expected =
-      static_cast<std::uint32_t>(in_flight.txn.subs().size());
-  if (in_flight.commit_votes + in_flight.abort_votes == expected) {
+  const std::vector<txn::SubTransaction>& subs = ledger_->Body(vote.txn).subs();
+  if (in_flight.commit_votes + in_flight.abort_votes == subs.size()) {
     const bool commit = in_flight.abort_votes == 0;
-    for (const txn::SubTransaction& sub : in_flight.txn.subs()) {
+    for (const txn::SubTransaction& sub : subs) {
       ConfirmMsg confirm;
       confirm.txn = vote.txn;
       confirm.commit = commit;
@@ -324,16 +307,15 @@ void BdsScheduler::HandleMessage(ShardId shard, ShardId from,
   if (auto* batch = std::get_if<TxnBatchMsg>(&message)) {
     // Phase 1 arrival at the leader.
     SSHARD_CHECK(shard == leader_);
-    for (auto& txn : batch->txns) leader_inbox_.push_back(std::move(txn));
+    leader_inbox_.insert(leader_inbox_.end(), batch->txns.begin(),
+                         batch->txns.end());
   } else if (auto* assign = std::get_if<ColorAssignMsg>(&message)) {
     // Phase 2 arrival at a home shard: record colors and rebuild the
     // per-color send schedule for this epoch.
     HomeState& state = home_[shard];
     for (const auto& [id, color] : assign->colors) {
-      const auto it = state.in_epoch.find(id);
-      SSHARD_CHECK(it != state.in_epoch.end() &&
+      SSHARD_CHECK(state.in_epoch.count(id) == 1 &&
                    "color assigned to unknown transaction");
-      it->second.color = color;
       if (state.by_color.size() <= color) state.by_color.resize(color + 1);
       state.by_color[color].push_back(id);
     }
@@ -350,8 +332,12 @@ void BdsScheduler::HandleMessage(ShardId shard, ShardId from,
     // derived serially in BeginRound from the same data.
   } else if (auto* sub_msg = std::get_if<SubTxnMsg>(&message)) {
     // Phase 3 round 2: destination evaluates and votes.
-    const bool vote = ledger_->EvaluateSub(sub_msg->sub);
-    dest_pending_[shard].emplace(sub_msg->txn, sub_msg->sub);
+    const bool vote =
+        ledger_->EvaluateSub(ledger_->Sub(sub_msg->txn, sub_msg->sub));
+    DestSlot& slot = dest_pending_[shard];
+    SSHARD_CHECK(slot.txn == kInvalidTxn &&
+                 "two undecided subtransactions on one BDS shard");
+    slot = DestSlot{sub_msg->txn, sub_msg->sub};
     VoteMsg vote_msg;
     vote_msg.txn = sub_msg->txn;
     vote_msg.dest = shard;
@@ -366,11 +352,12 @@ void BdsScheduler::HandleMessage(ShardId shard, ShardId from,
                 *vote_msg, shard);
   } else if (auto* confirm = std::get_if<ConfirmMsg>(&message)) {
     // Phase 3 round 4: destination commits/aborts and clears state.
-    auto it = dest_pending_[shard].find(confirm->txn);
-    SSHARD_CHECK(it != dest_pending_[shard].end());
-    ledger_->ApplyConfirmDeferred(confirm->txn, it->second, confirm->commit,
-                                  round);
-    dest_pending_[shard].erase(it);
+    DestSlot& slot = dest_pending_[shard];
+    SSHARD_CHECK(slot.txn == confirm->txn);
+    ledger_->ApplyConfirmDeferred(confirm->txn,
+                                  ledger_->Sub(slot.txn, slot.sub),
+                                  confirm->commit, round);
+    slot = DestSlot{};
   } else {
     SSHARD_CHECK(false && "unexpected message type in BDS");
   }

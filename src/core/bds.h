@@ -60,10 +60,14 @@
 // message endpoints/counts differ. Every co-leader structure is owned by
 // the co-leader shard, so the Debug ownership checker proves the
 // decomposition exactly like the legacy one.
+//
+// Every queue and message carries transaction ids; the bodies live in the
+// CommitLedger (core/commit_ledger.h), which the leader's coloring, the
+// coordinators' sends and confirms and the destinations' votes and
+// applies read by id.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -128,10 +132,17 @@ class BdsScheduler final : public NetworkedScheduler {
 
  private:
   struct InFlightTxn {
-    txn::Transaction txn;
-    Color color = 0;
     std::uint32_t commit_votes = 0;
     std::uint32_t abort_votes = 0;
+  };
+
+  /// A destination's undecided subtransaction: subs()[sub] of `txn`.
+  /// Same-color transactions are shard-disjoint and each color's votes
+  /// resolve before the next color's sends arrive, so a BDS shard never
+  /// holds two (asserted on arrival).
+  struct DestSlot {
+    TxnId txn = kInvalidTxn;
+    std::uint32_t sub = 0;
   };
 
   /// Per-home-shard epoch state: the 2PC records the home shard drives plus
@@ -148,7 +159,7 @@ class BdsScheduler final : public NetworkedScheduler {
   /// slot, plus the 2PC records of the classes currently in flight. Owned
   /// by the co-leader shard — only its StepShard may touch it.
   struct CoLeaderState {
-    std::unordered_map<Color, std::vector<txn::Transaction>> by_color;
+    std::unordered_map<Color, std::vector<TxnId>> by_color;
     std::unordered_map<TxnId, InFlightTxn> in_flight;
   };
 
@@ -158,6 +169,9 @@ class BdsScheduler final : public NetworkedScheduler {
   void ShipPending(ShardId home);
   void LeaderColorAndReply(Round round);
   void SendSubTxnsForColor(ShardId home, Color color);
+  /// Phase 3, per-color round 1, one transaction: the coordinator sends
+  /// each subtransaction of `id` to its destination.
+  void SendSubTxns(ShardId coordinator, TxnId id, Color color);
   void CoLeaderSendColor(ShardId shard, Color color);
   void CollectVote(std::unordered_map<TxnId, InFlightTxn>& records,
                    const VoteMsg& vote, ShardId shard);
@@ -167,7 +181,7 @@ class BdsScheduler final : public NetworkedScheduler {
   BdsConfig config_;
 
   // Home-shard injection queues (new transactions awaiting the next epoch).
-  std::vector<std::deque<txn::Transaction>> pending_;
+  std::vector<std::vector<TxnId>> pending_;
 
   // Epoch state (written serially in BeginRound, except num_colors_ /
   // epoch_end_ / max_epoch_length_, which only the leader's StepShard
@@ -184,7 +198,7 @@ class BdsScheduler final : public NetworkedScheduler {
   std::optional<Color> send_color_;
 
   // Leader-side: transactions received in Phase 1 of the current epoch.
-  std::vector<txn::Transaction> leader_inbox_;
+  std::vector<TxnId> leader_inbox_;
 
   /// Phase-2 scratch arena: the coloring view and the coloring's internal
   /// bitsets/ordering are bump-allocated here and recycled wholesale.
@@ -202,8 +216,8 @@ class BdsScheduler final : public NetworkedScheduler {
   std::vector<CoLeaderState> co_;
   std::uint32_t color_leaders_ = 1;  ///< effective L (clamped to s)
 
-  // Destination-shard side: subtransactions received and awaiting confirm.
-  std::vector<std::unordered_map<TxnId, txn::SubTransaction>> dest_pending_;
+  // Destination-shard side: the subtransaction awaiting confirm, by shard.
+  std::vector<DestSlot> dest_pending_;
 };
 
 }  // namespace stableshard::core

@@ -36,14 +36,65 @@ void CommitLedger::ResetShardForRecovery(ShardId shard) {
   last_commit_round_[shard] = kNoRound;
 }
 
-void CommitLedger::RegisterInjection(const txn::Transaction& txn) {
-  TxnRecord record;
-  record.injected = txn.injected();
+const txn::Transaction& CommitLedger::RegisterInjection(txn::Transaction txn) {
+  const TxnId id = txn.id();
+  SSHARD_CHECK(id != kInvalidTxn);
+  if (window_front_ == window_.size() && id >= window_base_ + window_.size()) {
+    // Everything registered so far has retired: restart the window at
+    // this id so a first id above 0 leaves no unregistered prefix.
+    window_.clear();
+    window_front_ = 0;
+    window_base_ = id;
+  }
+  SSHARD_CHECK(id >= window_base_ + window_front_ &&
+               "transaction registered twice");
+  if (id - window_base_ >= window_.size()) {
+    window_.resize(id - window_base_ + 1);
+  }
+  TxnRecord& record = window_[id - window_base_];
+  SSHARD_CHECK(record.state == RecordState::kUnregistered &&
+               "transaction registered twice");
+  if (!free_slots_.empty()) {
+    record.slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    if ((slot_count_ & kChunkMask) == 0) {
+      body_chunks_.push_back(
+          std::make_unique<txn::Transaction[]>(std::size_t{1} << kChunkBits));
+    }
+    record.slot = slot_count_++;
+  }
   record.remaining = static_cast<std::uint32_t>(txn.subs().size());
-  const auto [it, inserted] = records_.emplace(txn.id(), record);
-  (void)it;
-  SSHARD_CHECK(inserted && "transaction registered twice");
+  record.state = RecordState::kLive;
   ++registered_;
+  txn::Transaction& body = SlotBody(record.slot);
+  body = std::move(txn);
+  return body;
+}
+
+CommitLedger::TxnRecord* CommitLedger::FindRecord(TxnId txn) {
+  if (txn < window_base_ + window_front_) return nullptr;
+  if (txn - window_base_ >= window_.size()) return nullptr;
+  return &window_[txn - window_base_];
+}
+
+void CommitLedger::Release(TxnId txn) {
+  TxnRecord& record = window_[txn - window_base_];
+  SSHARD_DCHECK(record.state == RecordState::kLive);
+  // Drop the body's heap state now, so memory tracks live transactions.
+  SlotBody(record.slot) = txn::Transaction();
+  free_slots_.push_back(record.slot);
+  record.state = RecordState::kResolved;
+  while (window_front_ < window_.size() &&
+         window_[window_front_].state == RecordState::kResolved) {
+    ++window_front_;
+  }
+  if (window_front_ >= 1024 && window_front_ * 2 >= window_.size()) {
+    window_.erase(window_.begin(),
+                  window_.begin() + static_cast<std::ptrdiff_t>(window_front_));
+    window_base_ += window_front_;
+    window_front_ = 0;
+  }
 }
 
 bool CommitLedger::EvaluateSub(const txn::SubTransaction& sub) const {
@@ -116,16 +167,20 @@ void CommitLedger::ResolveSealedPartition(std::uint32_t part, Round round) {
     for (const JournalEntry& entry : entries) {
       const std::uint64_t entry_index = index++;
       if (parts > 1 && entry.txn % parts != part) continue;
-      // Concurrent find()s never mutate the map structure (no insertion may
-      // overlap the drain window) and each record belongs to one partition.
-      const auto it = records_.find(entry.txn);
-      SSHARD_CHECK(it != records_.end() && "confirm for unregistered txn");
-      TxnRecord& record = it->second;
-      SSHARD_CHECK(record.remaining > 0 && "confirm after txn resolved");
-      if (!entry.commit) record.any_abort = true;
-      if (--record.remaining == 0) {
-        out.push_back(
-            Completion{entry_index, record.injected, !record.any_abort});
+      // No registration or release may overlap the drain window, so the
+      // record window is fixed here, and each record belongs to one
+      // partition.
+      TxnRecord* record = FindRecord(entry.txn);
+      SSHARD_CHECK(record != nullptr &&
+                   record->state != RecordState::kUnregistered &&
+                   "confirm for unregistered txn");
+      SSHARD_CHECK(record->state == RecordState::kLive &&
+                   record->remaining > 0 && "confirm after txn resolved");
+      if (!entry.commit) record->any_abort = true;
+      if (--record->remaining == 0) {
+        out.push_back(Completion{entry_index, entry.txn,
+                                 Body(entry.txn).injected(),
+                                 !record->any_abort});
       }
     }
   }
@@ -158,6 +213,7 @@ void CommitLedger::FinishSealedRound(Round round) {
       ++aborted_txns_;
     }
     latency_.Record(completion.injected, round, completion.committed);
+    Release(completion.txn);
   }
   for (std::vector<JournalEntry>& shard_journal : journal_) {
     shard_journal.clear();
@@ -168,9 +224,9 @@ void CommitLedger::FinishSealedRound(Round round) {
 }
 
 bool CommitLedger::IsResolved(TxnId txn) const {
-  const auto it = records_.find(txn);
-  if (it == records_.end()) return false;
-  return it->second.remaining == 0;
+  if (txn < window_base_ + window_front_) return true;  // retired
+  if (txn - window_base_ >= window_.size()) return false;
+  return window_[txn - window_base_].state == RecordState::kResolved;
 }
 
 }  // namespace stableshard::core

@@ -33,15 +33,33 @@
 // is order-sensitive, and the workers-1-vs-N bit-identity contract covers
 // the latency means. A serial run is the one-partition case. The journals
 // themselves are only read concurrently.
+//
+// Transaction bodies. The ledger is the single owner of every injected
+// transaction's body: RegisterInjection takes it by value, and schedulers,
+// messages and the commit protocol carry the TxnId (plus a sub index)
+// and read the body back through Body(). Lifetime contract:
+//   * bodies are written only by RegisterInjection, in the serial inject
+//     phase, and released only by FinishSealedRound, in the round the
+//     transaction's last subtransaction resolves;
+//   * StepShard and FlushRoundPartition only read them (concurrently);
+//   * a reference returned by RegisterInjection or Body() stays valid
+//     until the transaction resolves, and no scheduler may hold one past
+//     that: coordinator records are erased at decision, destination
+//     entries at apply. Debug builds abort on a read of a released body.
+// Body storage is a free list of stable slots, so its footprint tracks
+// the live transactions, not the id span. Per-id bookkeeping is a small
+// record in a dense window indexed by TxnId (TxnFactory issues ids
+// densely from 0); resolved ids retire from the window's front.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "chain/account_map.h"
 #include "chain/account_store.h"
 #include "chain/local_chain.h"
+#include "common/check.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
@@ -73,10 +91,24 @@ class CommitLedger {
   /// behaves exactly as before, bit for bit.
   void AttachWal(durability::WalManager* wal);
 
-  /// Register a newly injected transaction (latency clock starts; expected
-  /// subtransaction count recorded).
-  void RegisterInjection(const txn::Transaction& txn)
+  /// Register a newly injected transaction and take ownership of its body
+  /// (latency clock starts; expected subtransaction count recorded). The
+  /// returned reference stays valid until the transaction resolves (see
+  /// the lifetime contract above).
+  const txn::Transaction& RegisterInjection(txn::Transaction txn)
       SSHARD_EXCLUDES(journal_cap);
+
+  /// The body of a registered, unresolved transaction. Read-only, safe
+  /// from any phase; Debug builds abort on an unknown or released id.
+  const txn::Transaction& Body(TxnId txn) const {
+    const TxnRecord& record = RecordOf(txn);
+    SSHARD_DCHECK(record.state == RecordState::kLive &&
+                  "read of a released transaction body");
+    return SlotBody(record.slot);
+  }
+  const txn::SubTransaction& Sub(TxnId txn, std::uint32_t index) const {
+    return Body(txn).subs()[index];
+  }
 
   /// Vote decision for a subtransaction on its destination shard's current
   /// state: all conditions hold and all actions are valid.
@@ -115,6 +147,11 @@ class CommitLedger {
 
   bool IsResolved(TxnId txn) const;
 
+  /// Body slots ever allocated (the peak of live transactions) and the
+  /// per-id record window's current span.
+  std::size_t body_slots() const { return slot_count_; }
+  std::size_t record_window() const { return window_.size() - window_front_; }
+
   /// Transactions injected but not yet fully resolved.
   std::uint64_t pending() const { return registered_ - resolved_; }
   std::uint64_t registered() const { return registered_; }
@@ -150,11 +187,36 @@ class CommitLedger {
   void ResetShardForRecovery(ShardId shard) SSHARD_EXCLUDES(journal_cap);
 
  private:
+  enum class RecordState : std::uint8_t { kUnregistered, kLive, kResolved };
+
   struct TxnRecord {
-    Round injected = 0;
+    std::uint32_t slot = 0;       ///< body slot while kLive
     std::uint32_t remaining = 0;  ///< unresolved subtransactions
     bool any_abort = false;
+    RecordState state = RecordState::kUnregistered;
   };
+
+  static constexpr std::uint32_t kChunkBits = 8;
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
+
+  /// The window record of `txn` (Debug builds abort outside the window).
+  const TxnRecord& RecordOf(TxnId txn) const {
+    SSHARD_DCHECK(txn >= window_base_ + window_front_ &&
+                  txn - window_base_ < window_.size() &&
+                  "read of a released transaction body");
+    return window_[txn - window_base_];
+  }
+  const txn::Transaction& SlotBody(std::uint32_t slot) const {
+    return body_chunks_[slot >> kChunkBits][slot & kChunkMask];
+  }
+  txn::Transaction& SlotBody(std::uint32_t slot) {
+    return body_chunks_[slot >> kChunkBits][slot & kChunkMask];
+  }
+  /// Record of `txn` if it is in the window, else nullptr.
+  TxnRecord* FindRecord(TxnId txn);
+  /// Release a resolved transaction's body slot and retire the resolved
+  /// prefix of the record window.
+  void Release(TxnId txn);
 
   struct JournalEntry {
     TxnId txn = kInvalidTxn;
@@ -166,6 +228,7 @@ class CommitLedger {
   /// the serial epilogue can replay completions in exact serial order.
   struct Completion {
     std::uint64_t journal_index = 0;
+    TxnId txn = kInvalidTxn;
     Round injected = 0;
     bool committed = false;
   };
@@ -184,7 +247,16 @@ class CommitLedger {
   std::vector<std::size_t> merge_cursor_;
   /// Partition count of the open Seal..Finish window (0 = not sealed).
   std::uint32_t sealed_parts_ = 0;
-  std::unordered_map<TxnId, TxnRecord> records_;
+  /// Per-id records: window_[id - window_base_]; ids below
+  /// window_base_ + window_front_ are retired (resolved). The retired
+  /// prefix is compacted away once it is half the vector.
+  std::vector<TxnRecord> window_;
+  std::size_t window_front_ = 0;
+  TxnId window_base_ = 0;
+  /// Body slots in fixed chunks (stable addresses), recycled LIFO.
+  std::vector<std::unique_ptr<txn::Transaction[]>> body_chunks_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint32_t slot_count_ = 0;
   stats::LatencyRecorder latency_;
   std::uint64_t registered_ = 0;
   std::uint64_t resolved_ = 0;

@@ -1,8 +1,31 @@
 #include "core/commit_protocol.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace stableshard::core {
+
+std::uint64_t& CommitProtocol::VoteSet::Word(std::uint32_t index) {
+  if (index < 64) return bits_;
+  const std::size_t word = index / 64 - 1;
+  if (wide_.size() <= word) wide_.resize(word + 1, 0);
+  return wide_[word];
+}
+
+void CommitProtocol::VoteSet::Add(std::uint32_t index) {
+  std::uint64_t& word = Word(index);
+  const std::uint64_t bit = std::uint64_t{1} << (index % 64);
+  if ((word & bit) == 0) ++count_;
+  word |= bit;
+}
+
+void CommitProtocol::VoteSet::Remove(std::uint32_t index) {
+  std::uint64_t& word = Word(index);
+  const std::uint64_t bit = std::uint64_t{1} << (index % 64);
+  if ((word & bit) != 0) --count_;
+  word &= ~bit;
+}
 
 CommitProtocol::CommitProtocol(ShardId shards,
                                net::OutboxSet<Message>& outbox,
@@ -51,44 +74,51 @@ std::uint64_t CommitProtocol::retracts_sent() const {
   return count;
 }
 
-void CommitProtocol::Coordinate(ShardId coordinator,
-                                const txn::Transaction& txn,
+void CommitProtocol::Coordinate(ShardId coordinator, TxnId txn,
                                 std::uint32_t cluster) {
   PendingCommit pending;
-  pending.txn = txn;
   pending.cluster = cluster;
-  coordinating_[coordinator].emplace(txn.id(), std::move(pending));
+  coordinating_[coordinator].emplace(txn, std::move(pending));
 }
 
-void CommitProtocol::SendSubTxn(ShardId coordinator,
-                                const txn::Transaction& txn,
-                                const txn::SubTransaction& sub, Height height,
+void CommitProtocol::SendSubTxn(ShardId coordinator, TxnId txn,
+                                std::uint32_t sub, Height height,
                                 std::uint32_t cluster, bool update) {
   auto& slice = coordinating_[coordinator];
-  const auto it = slice.find(txn.id());
+  const auto it = slice.find(txn);
   if (it != slice.end()) it->second.current_height = height;
   SubTxnMsg msg;
-  msg.txn = txn.id();
+  msg.txn = txn;
   msg.cluster = cluster;
   msg.coordinator = coordinator;
   msg.height = height;
-  msg.update = update;
   msg.sub = sub;
-  outbox_->Send(coordinator, sub.destination, Message{std::move(msg)});
+  msg.update = update;
+  outbox_->Send(coordinator, ledger_->Sub(txn, sub).destination,
+                Message{msg});
 }
 
-void CommitProtocol::Decide(ShardId coordinator, PendingCommit& pending,
-                            bool commit) {
+std::uint32_t CommitProtocol::DestinationIndex(TxnId txn,
+                                               ShardId dest) const {
+  const std::vector<ShardId>& dests = ledger_->Body(txn).destinations();
+  const auto it = std::lower_bound(dests.begin(), dests.end(), dest);
+  SSHARD_CHECK(it != dests.end() && *it == dest &&
+               "vote from a shard the transaction does not access");
+  return static_cast<std::uint32_t>(it - dests.begin());
+}
+
+void CommitProtocol::Decide(ShardId coordinator, TxnId txn,
+                            PendingCommit& pending, bool commit) {
   pending.decided = true;
-  for (const txn::SubTransaction& sub : pending.txn.subs()) {
+  for (const txn::SubTransaction& sub : ledger_->Body(txn).subs()) {
     ConfirmMsg confirm;
-    confirm.txn = pending.txn.id();
+    confirm.txn = txn;
     confirm.cluster = pending.cluster;
     confirm.commit = commit;
     confirm.height = pending.current_height;
     outbox_->Send(coordinator, sub.destination, Message{confirm});
   }
-  if (on_decided_) on_decided_(pending.txn.id(), pending.cluster, commit);
+  if (on_decided_) on_decided_(txn, pending.cluster, commit);
 }
 
 void CommitProtocol::MaybeRequestRetract(ShardId dest) {
@@ -135,7 +165,7 @@ bool CommitProtocol::HandleMessage(ShardId to, Message& message,
       entry.txn = sub_msg->txn;
       entry.cluster = sub_msg->cluster;
       entry.coordinator = sub_msg->coordinator;
-      entry.sub = std::move(sub_msg->sub);
+      entry.sub = sub_msg->sub;
       queue.entries.emplace(sub_msg->height, std::move(entry));
       queue.index.emplace(sub_msg->txn, sub_msg->height);
       if (mode_ == CommitMode::kPipelined) {
@@ -154,13 +184,16 @@ bool CommitProtocol::HandleMessage(ShardId to, Message& message,
       return true;  // stale vote after decision — ignore
     }
     PendingCommit& pending = it->second;
-    pending.votes[vote->dest] = vote->commit;
     if (!vote->commit) {
       // Early abort: one abort vote settles the outcome.
-      Decide(to, pending, /*commit=*/false);
+      Decide(to, vote->txn, pending, /*commit=*/false);
       slice.erase(it);
-    } else if (pending.votes.size() == pending.txn.destinations().size()) {
-      Decide(to, pending, /*commit=*/true);
+      return true;
+    }
+    pending.votes.Add(DestinationIndex(vote->txn, vote->dest));
+    if (pending.votes.size() ==
+        ledger_->Body(vote->txn).destinations().size()) {
+      Decide(to, vote->txn, pending, /*commit=*/true);
       slice.erase(it);
     }
     return true;
@@ -177,8 +210,9 @@ bool CommitProtocol::HandleMessage(ShardId to, Message& message,
       // Aborts write nothing: their position is irrelevant, pop at once.
       if (!confirm->commit) {
         queue.unvoted.erase(index_it->second);
-        ledger_->ApplyConfirmDeferred(confirm->txn, entry_it->second.sub,
-                                      /*commit=*/false, round);
+        ledger_->ApplyConfirmDeferred(
+            confirm->txn, ledger_->Sub(confirm->txn, entry_it->second.sub),
+            /*commit=*/false, round);
         queue.entries.erase(entry_it);
         queue.index.erase(index_it);
         --queue.queued;
@@ -204,8 +238,9 @@ bool CommitProtocol::HandleMessage(ShardId to, Message& message,
                    *queue.pinned == confirm->txn &&
                    "commit confirm for unpinned entry");
     }
-    ledger_->ApplyConfirmDeferred(confirm->txn, entry_it->second.sub,
-                                  confirm->commit, round);
+    ledger_->ApplyConfirmDeferred(
+        confirm->txn, ledger_->Sub(confirm->txn, entry_it->second.sub),
+        confirm->commit, round);
     queue.entries.erase(entry_it);
     queue.index.erase(index_it);
     --queue.queued;
@@ -222,7 +257,7 @@ bool CommitProtocol::HandleMessage(ShardId to, Message& message,
     if (it == slice.end() || it->second.decided) {
       return true;  // decision already in flight; the confirm wins
     }
-    it->second.votes.erase(request->dest);
+    it->second.votes.Remove(DestinationIndex(request->txn, request->dest));
     RetractAckMsg ack;
     ack.txn = request->txn;
     ack.cluster = request->cluster;
@@ -257,7 +292,8 @@ void CommitProtocol::ApplyDecidedInOrder(ShardId dest, Round round) {
   // arrive. Applying only after the gate keeps the per-shard apply order
   // identical to the global height order (cross-shard serializability).
   if (round < head->first.t_end) return;
-  ledger_->ApplyConfirmDeferred(entry.txn, entry.sub, /*commit=*/true, round);
+  ledger_->ApplyConfirmDeferred(entry.txn, ledger_->Sub(entry.txn, entry.sub),
+                                /*commit=*/true, round);
   queue.unvoted.erase(head->first);
   queue.index.erase(entry.txn);
   queue.entries.erase(head);
@@ -279,7 +315,7 @@ void CommitProtocol::IssueVotesForShard(ShardId dest, Round round) {
       vote.txn = entry.txn;
       vote.cluster = entry.cluster;
       vote.dest = dest;
-      vote.commit = ledger_->EvaluateSub(entry.sub);
+      vote.commit = ledger_->EvaluateSub(ledger_->Sub(entry.txn, entry.sub));
       outbox_->Send(dest, entry.coordinator, Message{vote});
     }
     ApplyDecidedInOrder(dest, round);
@@ -293,7 +329,7 @@ void CommitProtocol::IssueVotesForShard(ShardId dest, Round round) {
   vote.txn = entry.txn;
   vote.cluster = entry.cluster;
   vote.dest = dest;
-  vote.commit = ledger_->EvaluateSub(entry.sub);
+  vote.commit = ledger_->EvaluateSub(ledger_->Sub(entry.txn, entry.sub));
   outbox_->Send(dest, entry.coordinator, Message{vote});
   queue.pinned = entry.txn;
 }

@@ -40,6 +40,13 @@
 // state (plus CommitLedger::ApplyConfirmDeferred, which is itself
 // shard-local), so the embedding scheduler may run them concurrently for
 // distinct shards inside StepShard.
+//
+// Queue entries, coordinator records and messages carry a TxnId plus a
+// sub index; the body is read from the CommitLedger, which keeps it until
+// the transaction's last subtransaction resolves. That outlives every
+// reader here: a coordinator record is erased at decision, a destination
+// entry at apply, and a height update that arrives after the apply finds
+// no entry and never reads the body.
 #pragma once
 
 #include <cstdint>
@@ -92,17 +99,16 @@ class CommitProtocol {
                  CommitLedger& ledger, DecidedCallback on_decided,
                  CommitMode mode = CommitMode::kPinned);
 
-  /// Coordinator side: shard `coordinator` starts coordinating `txn`
-  /// (idempotent per txn). `cluster` tags the coordinating context.
-  void Coordinate(ShardId coordinator, const txn::Transaction& txn,
-                  std::uint32_t cluster);
+  /// Coordinator side: shard `coordinator` starts coordinating the
+  /// registered transaction `txn` (idempotent per txn). `cluster` tags the
+  /// coordinating context.
+  void Coordinate(ShardId coordinator, TxnId txn, std::uint32_t cluster);
 
-  /// Coordinator side: send one subtransaction to its destination (or, with
-  /// `update` = true, refresh its height after an FDS reschedule).
-  /// `coordinator` is the shard votes must return to.
-  void SendSubTxn(ShardId coordinator, const txn::Transaction& txn,
-                  const txn::SubTransaction& sub, Height height,
-                  std::uint32_t cluster, bool update);
+  /// Coordinator side: send subtransaction subs()[sub] of `txn` to its
+  /// destination (or, with `update` = true, refresh its height after an FDS
+  /// reschedule). `coordinator` is the shard votes must return to.
+  void SendSubTxn(ShardId coordinator, TxnId txn, std::uint32_t sub,
+                  Height height, std::uint32_t cluster, bool update);
 
   /// Route one delivered protocol message (SubTxn/Vote/Confirm/Retract*)
   /// addressed to shard `to`. Returns true if the message type belonged to
@@ -137,7 +143,7 @@ class CommitProtocol {
     TxnId txn = kInvalidTxn;
     std::uint32_t cluster = 0;
     ShardId coordinator = kInvalidShard;
-    txn::SubTransaction sub;
+    std::uint32_t sub = 0;               ///< index into the body's subs()
     bool voted = false;                  // pipelined mode
     std::optional<bool> decision;        // pipelined mode: confirm received
   };
@@ -155,15 +161,33 @@ class CommitProtocol {
     std::uint64_t retracts = 0;
   };
 
+  /// The destinations (by position in Transaction::destinations()) that
+  /// hold a commit vote: one bit each, inline up to 64 destinations.
+  class VoteSet {
+   public:
+    void Add(std::uint32_t index);
+    void Remove(std::uint32_t index);
+    std::uint32_t size() const { return count_; }
+
+   private:
+    std::uint64_t& Word(std::uint32_t index);
+
+    std::uint64_t bits_ = 0;
+    std::vector<std::uint64_t> wide_;  ///< destinations 64.. (k > 64 only)
+    std::uint32_t count_ = 0;
+  };
+
   struct PendingCommit {
-    txn::Transaction txn;
     std::uint32_t cluster = 0;
     Height current_height;  ///< latest height assigned (reschedule-aware)
-    std::unordered_map<ShardId, bool> votes;
+    VoteSet votes;
     bool decided = false;
   };
 
-  void Decide(ShardId coordinator, PendingCommit& pending, bool commit);
+  /// Position of `dest` in `txn`'s sorted destination list.
+  std::uint32_t DestinationIndex(TxnId txn, ShardId dest) const;
+  void Decide(ShardId coordinator, TxnId txn, PendingCommit& pending,
+              bool commit);
   void MaybeRequestRetract(ShardId dest);
   void ApplyDecidedInOrder(ShardId dest, Round round);
 

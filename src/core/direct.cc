@@ -17,7 +17,7 @@ DirectScheduler::DirectScheduler(const net::ShardMetric& metric,
 void DirectScheduler::Inject(const txn::Transaction& txn) {
   SSHARD_SERIAL_PHASE(ownership_);
   SSHARD_CHECK(txn.home() < inject_by_home_.size());
-  inject_by_home_[txn.home()].push_back(txn);
+  inject_by_home_[txn.home()].push_back(txn.id());
 }
 
 void DirectScheduler::BeginRound(Round round) {
@@ -38,11 +38,12 @@ void DirectScheduler::StepShard(ShardId shard, Round round) {
 
   // Ship this round's injections straight to the destinations, ordered by
   // injection id (heights use only the txn id, a total order).
-  for (const txn::Transaction& txn : inject_by_home_[shard]) {
-    protocol_.Coordinate(shard, txn, 0);
-    const Height height{0, 0, 0, 0, txn.id()};
-    for (const txn::SubTransaction& sub : txn.subs()) {
-      protocol_.SendSubTxn(shard, txn, sub, height, 0, /*update=*/false);
+  for (const TxnId id : inject_by_home_[shard]) {
+    protocol_.Coordinate(shard, id, 0);
+    const Height height{0, 0, 0, 0, id};
+    const std::size_t subs = ledger_->Body(id).subs().size();
+    for (std::uint32_t sub = 0; sub < subs; ++sub) {
+      protocol_.SendSubTxn(shard, id, sub, height, 0, /*update=*/false);
     }
   }
   inject_by_home_[shard].clear();
@@ -51,7 +52,7 @@ void DirectScheduler::StepShard(ShardId shard, Round round) {
 }
 
 bool DirectScheduler::Idle() const {
-  for (const std::vector<txn::Transaction>& queue : inject_by_home_) {
+  for (const std::vector<TxnId>& queue : inject_by_home_) {
     if (!queue.empty()) return false;
   }
   return !network_.HasPending() && protocol_.Idle();

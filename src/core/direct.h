@@ -42,7 +42,7 @@ class DirectScheduler final : public NetworkedScheduler {
   CommitProtocol protocol_;
   /// This round's injections, by home shard (emptied by the home's
   /// StepShard, so non-empty only between Inject and the next round).
-  std::vector<std::vector<txn::Transaction>> inject_by_home_;
+  std::vector<std::vector<TxnId>> inject_by_home_;
 };
 
 }  // namespace stableshard::core

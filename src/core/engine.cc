@@ -305,8 +305,7 @@ SimResult Simulation::Run() {
     if (generated_round_ != round) Generate(round);
     const auto inject_start = Clock::now();
     for (txn::Transaction& txn : txn_buffer_) {
-      ledger_->RegisterInjection(txn);
-      scheduler_->Inject(txn);
+      scheduler_->Inject(ledger_->RegisterInjection(std::move(txn)));
     }
     txn_buffer_.clear();
     phase_times_.inject += SecondsSince(inject_start);
@@ -346,8 +345,7 @@ SimResult Simulation::Run() {
         Generate(round);
         const auto inject_start = Clock::now();
         for (txn::Transaction& txn : txn_buffer_) {
-          ledger_->RegisterInjection(txn);
-          scheduler_->Inject(txn);
+          scheduler_->Inject(ledger_->RegisterInjection(std::move(txn)));
         }
         txn_buffer_.clear();
         phase_times_.inject += SecondsSince(inject_start);

@@ -15,6 +15,7 @@ FdsScheduler::FdsScheduler(const net::ShardMetric& metric,
     : NetworkedScheduler(metric, ledger),
       metric_(&metric),
       hierarchy_(&hierarchy),
+      home_clusters_(hierarchy),
       config_(config),
       protocol_(metric.shard_count(), outbox_, ledger,
                 [this](TxnId txn, std::uint32_t cluster, bool committed) {
@@ -68,13 +69,13 @@ void FdsScheduler::Inject(const txn::Transaction& txn) {
   // would collapse back to one root under two-endpoint workloads like
   // diameter_span.
   const cluster::Cluster& home_cluster =
-      hierarchy_->FindHomeCluster(txn.home(), x, txn.id());
+      home_clusters_.Find(txn.home(), x, txn.id());
   ClusterState& state = cluster_state_[home_cluster.id];
   if (!state.ever_used) {
     state.ever_used = true;
     ++used_cluster_count_;
   }
-  home_outgoing_[txn.home()][home_cluster.id].push_back(txn);
+  home_outgoing_[txn.home()][home_cluster.id].push_back(txn.id());
   ++buffered_by_home_[txn.home()];
 }
 
@@ -121,7 +122,8 @@ void FdsScheduler::StepShard(ShardId shard, Round round) {
     SSHARD_CHECK(batch != nullptr && "unexpected message type in FDS");
     SSHARD_CHECK(shard == hierarchy_->clusters()[batch->cluster].leader);
     ClusterState& state = cluster_state_[batch->cluster];
-    for (auto& txn : batch->txns) state.incoming.push_back(std::move(txn));
+    state.incoming.insert(state.incoming.end(), batch->txns.begin(),
+                          batch->txns.end());
   }
 
   // Phase 1, home side: ship buffered transactions for every cluster whose
@@ -180,7 +182,7 @@ void FdsScheduler::RunColoring(const cluster::Cluster& cluster,
       common::ArenaAllocator<const txn::Transaction*>(&arena)};
   view.reserve(state.incoming.size() + (reschedule ? state.active.size() : 0));
   const std::size_t new_count = state.incoming.size();
-  for (const auto& txn : state.incoming) view.push_back(&txn);
+  for (const TxnId id : state.incoming) view.push_back(&ledger_->Body(id));
   if (reschedule) {
     ++reschedules_by_shard_[leader];
     // sch_ldr is an unordered_map and the coloring result depends on view
@@ -188,10 +190,7 @@ void FdsScheduler::RunColoring(const cluster::Cluster& cluster,
     // order (by txn id) before it feeds the coloring.
     const std::size_t first_active = view.size();
     // lint:allow(unordered-iteration): sorted by txn id immediately below.
-    for (const auto& [id, txn] : state.active) {
-      (void)id;
-      view.push_back(&txn);
-    }
+    for (const TxnId id : state.active) view.push_back(&ledger_->Body(id));
     std::sort(view.begin() + static_cast<std::ptrdiff_t>(first_active),
               view.end(),
               [](const txn::Transaction* a, const txn::Transaction* b) {
@@ -209,17 +208,14 @@ void FdsScheduler::RunColoring(const cluster::Cluster& cluster,
                         coloring.color[v], txn.id()};
     const bool is_new = v < new_count;
     if (is_new) {
-      protocol_.Coordinate(leader, txn, cluster.id);
+      protocol_.Coordinate(leader, txn.id(), cluster.id);
     }
-    for (const txn::SubTransaction& sub : txn.subs()) {
-      protocol_.SendSubTxn(leader, txn, sub, height, cluster.id,
+    for (std::uint32_t sub = 0; sub < txn.subs().size(); ++sub) {
+      protocol_.SendSubTxn(leader, txn.id(), sub, height, cluster.id,
                            /*update=*/!is_new);
     }
   }
-  for (auto& txn : state.incoming) {
-    const TxnId id = txn.id();
-    state.active.emplace(id, std::move(txn));
-  }
+  state.active.insert(state.incoming.begin(), state.incoming.end());
   state.incoming.clear();
 }
 

@@ -45,11 +45,14 @@
 // the shard's votes. Unlike BDS there is no global epoch: many cluster
 // leaders are active in one round, which is exactly what the parallel path
 // exploits.
+//
+// Every queue and message carries transaction ids; the bodies live in the
+// CommitLedger (core/commit_ledger.h) and are read by id.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "cluster/hierarchy.h"
@@ -130,9 +133,9 @@ class FdsScheduler : public NetworkedScheduler {
   /// Cluster scheduling state, owned by the cluster's leader shard.
   struct ClusterState {
     /// Batches that arrived at the leader during the current epoch.
-    std::vector<txn::Transaction> incoming;
+    std::vector<TxnId> incoming;
     /// sch_ldr: scheduled but not yet decided transactions.
-    std::unordered_map<TxnId, txn::Transaction> active;
+    std::unordered_set<TxnId> active;
     bool ever_used = false;
   };
 
@@ -142,6 +145,8 @@ class FdsScheduler : public NetworkedScheduler {
 
   const net::ShardMetric* metric_;
   const cluster::Hierarchy* hierarchy_;
+  /// Inject's home-cluster lookups (serial inject phase only).
+  cluster::HomeClusterCache home_clusters_;
   FdsConfig config_;
   CommitProtocol protocol_;
 
@@ -155,8 +160,7 @@ class FdsScheduler : public NetworkedScheduler {
   // Home-side buffers: per home shard, cluster id -> transactions waiting
   // for that cluster's next epoch start (std::map so the shard's flush
   // order is deterministic).
-  std::vector<std::map<std::uint32_t, std::vector<txn::Transaction>>>
-      home_outgoing_;
+  std::vector<std::map<std::uint32_t, std::vector<TxnId>>> home_outgoing_;
   std::vector<std::uint64_t> buffered_by_home_;
 
   // BeginRound output: clusters to color this round, grouped by leader.

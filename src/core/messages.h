@@ -7,6 +7,12 @@
 // additionally uses the retract handshake (see
 // commit_protocol.h for why the handshake exists); Direct uses the commit
 // protocol subset only.
+//
+// Messages carry transaction ids, never bodies: the CommitLedger owns the
+// one copy of each transaction (see core/commit_ledger.h), and a receiver
+// reads it back by id. The network still charges what each message would
+// carry in a real deployment (the payload units the sender declares), so
+// the cost model does not depend on this representation.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +21,6 @@
 
 #include "common/types.h"
 #include "core/height.h"
-#include "txn/transaction.h"
 
 namespace stableshard::core {
 
@@ -25,7 +30,7 @@ namespace stableshard::core {
 struct TxnBatchMsg {
   std::uint32_t cluster = 0;
   std::uint64_t epoch = 0;
-  std::vector<txn::Transaction> txns;
+  std::vector<TxnId> txns;
 };
 
 /// BDS leader -> all shards: the number of colors of this epoch, fixing the
@@ -50,20 +55,21 @@ struct ColorAssignMsg {
 struct ColorClassMsg {
   std::uint64_t epoch = 0;
   Color color = 0;
-  std::vector<txn::Transaction> txns;
+  std::vector<TxnId> txns;
 };
 
 /// Coordinator (home shard or cluster leader) -> destination shard: one
-/// subtransaction to insert into the destination's schedule queue. When
-/// `update` is set the destination only refreshes the height of an existing
-/// entry (FDS rescheduling, Section 6.2 Phase 2).
+/// subtransaction, subs()[sub] of transaction `txn`, to insert into the
+/// destination's schedule queue. When `update` is set the destination only
+/// refreshes the height of an existing entry (FDS rescheduling, Section 6.2
+/// Phase 2) and never reads the body.
 struct SubTxnMsg {
   TxnId txn = kInvalidTxn;
   std::uint32_t cluster = 0;
   ShardId coordinator = kInvalidShard;
   Height height;
+  std::uint32_t sub = 0;
   bool update = false;
-  txn::SubTransaction sub;
 };
 
 /// Destination -> coordinator: commit/abort vote for one subtransaction.

@@ -83,6 +83,13 @@ class Scheduler {
   /// wrappers may defer the transaction instead of enqueueing it, but the
   /// ledger has already registered it: a deferred transaction still counts
   /// as pending and must eventually be admitted or the run cannot drain.
+  ///
+  /// `txn` is the body the CommitLedger owns (CommitLedger::
+  /// RegisterInjection's result). Keep its id, never a copy of the body:
+  /// queues and messages carry the TxnId (plus a sub index), and every
+  /// later phase reads the body back with CommitLedger::Body. The body is
+  /// released in the round the transaction's last subtransaction
+  /// resolves, so no state may refer to it past that point.
   virtual void Inject(const txn::Transaction& txn) = 0;
 
   /// Serial prologue of one synchronous round. Rounds are strictly

@@ -26,6 +26,14 @@ void EncodePayload(Blob& out, const WalRecord& record) {
   }
 }
 
+/// Overwrite `bytes` bytes at `out` with `value`, least significant first
+/// (the Append* byte order).
+void StoreLittleEndian(std::uint8_t* out, std::uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out[i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
 bool DecodePayload(const std::uint8_t* data, std::size_t size,
                    WalRecord* out) {
   ByteReader reader(data, size);
@@ -64,11 +72,19 @@ bool DecodePayload(const std::uint8_t* data, std::size_t size,
 }  // namespace
 
 void AppendWalRecord(Blob& wal, const WalRecord& record) {
-  Blob payload;
-  EncodePayload(payload, record);
-  AppendU32(wal, static_cast<std::uint32_t>(payload.size()));
-  AppendU64(wal, Fnv1a(payload.data(), payload.size()));
-  wal.insert(wal.end(), payload.begin(), payload.end());
+  // Encode the payload in place after a placeholder frame header, then
+  // back-patch the header: the lane's own capacity absorbs the record, so
+  // steady state allocates nothing per record (persist partitions encode
+  // concurrently into their own lanes, so no shared scratch buffer).
+  const std::size_t header = wal.size();
+  AppendU32(wal, 0);
+  AppendU64(wal, 0);
+  const std::size_t payload = wal.size();
+  EncodePayload(wal, record);
+  const std::size_t size = wal.size() - payload;
+  StoreLittleEndian(wal.data() + header, size, 4);
+  StoreLittleEndian(wal.data() + header + 4,
+                    Fnv1a(wal.data() + payload, size), 8);
 }
 
 WalReader::Status WalReader::Next(WalRecord* out) {

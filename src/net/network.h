@@ -227,6 +227,8 @@ class Network {
     if (ring.empty()) return;  // never contacted: nothing can be due
     std::vector<Envelope>& bucket = ring[now % ring.size()];
     std::swap(bucket, out);
+    // Most calls find nothing due: skip the shared counter's cache line.
+    if (out.empty()) return;
     for ([[maybe_unused]] const Envelope& envelope : out) {
       // A stale envelope here means some (shard, round) was never drained
       // and the ring slot got reused — a round-loop bug, not a data bug.

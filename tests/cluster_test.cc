@@ -211,6 +211,47 @@ TEST(HomeCluster, MonotoneInRadius) {
   }
 }
 
+// FDS's memoized lookup must return exactly what the O(s) scan returns,
+// for every (home, x), salt included, on every topology the cover is built
+// for and on a multi-root hierarchy. Each (home, x) is asked twice, so the
+// second answer comes from the cache.
+TEST(HomeClusterCache, MatchesTheScanEverywhere) {
+  struct CacheCase {
+    net::TopologyKind topology;
+    ShardId shards;
+    std::uint32_t top_roots;
+  };
+  const CacheCase cases[] = {{net::TopologyKind::kLine, 64, 1},
+                             {net::TopologyKind::kRing, 32, 1},
+                             {net::TopologyKind::kGrid, 36, 1},
+                             {net::TopologyKind::kRandomGeometric, 24, 1},
+                             {net::TopologyKind::kLine, 48, 3}};
+  for (const CacheCase& c : cases) {
+    SCOPED_TRACE(net::TopologyName(c.topology) + "_s" +
+                 std::to_string(c.shards) + "_roots" +
+                 std::to_string(c.top_roots));
+    Rng rng(3);
+    const auto metric = net::MakeMetric(c.topology, c.shards, &rng);
+    for (const bool line_shifted : {true, false}) {
+      if (line_shifted && c.topology != net::TopologyKind::kLine) continue;
+      const Hierarchy hierarchy =
+          line_shifted ? Hierarchy::BuildLineShifted(*metric, c.top_roots)
+                       : Hierarchy::BuildSparseCover(*metric, c.top_roots);
+      HomeClusterCache cache(hierarchy);
+      for (int pass = 0; pass < 2; ++pass) {
+        for (ShardId home = 0; home < c.shards; ++home) {
+          for (Distance x = 0; x <= metric->Diameter(); ++x) {
+            const std::uint64_t salt = std::uint64_t{home} * 7 + x + pass;
+            ASSERT_EQ(&cache.Find(home, x, salt),
+                      &hierarchy.FindHomeCluster(home, x, salt))
+                << "home " << home << " x " << x << " pass " << pass;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Hierarchy, ClustersContainingSortedByLevel) {
   net::LineMetric metric(16);
   const auto hierarchy = Hierarchy::BuildLineShifted(metric);

@@ -188,7 +188,53 @@ TEST_F(CommitLedgerTest, MixedDecisionCountsAsAborted) {
   EXPECT_EQ(ledger_.committed_txns(), 0u);
 }
 
+TEST_F(CommitLedgerTest, OwnsBodiesUntilResolution) {
+  const auto txn = factory_.MakeTouch(0, /*injected=*/4, {0, 1});
+  const txn::Transaction& body = ledger_.RegisterInjection(txn);
+  EXPECT_EQ(&ledger_.Body(txn.id()), &body);
+  EXPECT_EQ(body.id(), txn.id());
+  EXPECT_EQ(body.injected(), 4u);
+  EXPECT_EQ(ledger_.Sub(txn.id(), 1).destination, txn.subs()[1].destination);
+  Confirm(txn, txn.subs()[0], true, 5);
+  EXPECT_EQ(&ledger_.Body(txn.id()), &body);  // one sub still unresolved
+  Confirm(txn, txn.subs()[1], true, 6);
+  EXPECT_TRUE(ledger_.IsResolved(txn.id()));
+  EXPECT_EQ(ledger_.record_window(), 0u);
+}
+
+// One long-lived transaction pins the front of the record window while
+// thousands of later ones resolve behind it: the records (small) span the
+// ids, but the body slots are recycled and stay at the live count.
+TEST_F(CommitLedgerTest, BodySlotsTrackLiveTransactionsNotTheIdSpan) {
+  const auto pinned = factory_.MakeTouch(0, 0, {0});
+  ledger_.RegisterInjection(pinned);
+  Round round = 1;
+  for (int i = 0; i < 3000; ++i) {
+    const auto txn = factory_.MakeTouch(1, round, {1});
+    ledger_.RegisterInjection(txn);
+    Confirm(txn, txn.subs()[0], true, round++);
+  }
+  EXPECT_EQ(ledger_.body_slots(), 2u);
+  EXPECT_EQ(ledger_.record_window(), 3001u);
+  EXPECT_FALSE(ledger_.IsResolved(pinned.id()));
+  Confirm(pinned, pinned.subs()[0], true, round);
+  EXPECT_EQ(ledger_.record_window(), 0u);
+  EXPECT_EQ(ledger_.committed_txns(), 3001u);
+  EXPECT_EQ(ledger_.pending(), 0u);
+}
+
 using CommitLedgerDeathTest = CommitLedgerTest;
+
+TEST_F(CommitLedgerDeathTest, ReadingAReleasedBodyAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the released-body check compiles out under NDEBUG";
+#else
+  const auto txn = factory_.MakeTouch(0, 0, {0});
+  ledger_.RegisterInjection(txn);
+  Confirm(txn, txn.subs()[0], true, 1);  // resolves and releases the body
+  EXPECT_DEATH((void)ledger_.Body(txn.id()), "released transaction body");
+#endif
+}
 
 TEST_F(CommitLedgerDeathTest, DoubleRegisterAborts) {
   const auto txn = factory_.MakeTouch(0, 0, {0});

@@ -56,9 +56,9 @@ class CommitProtocolTest : public ::testing::Test {
 
   void Schedule(const txn::Transaction& txn, Height height,
                 ShardId coordinator) {
-    protocol_.Coordinate(coordinator, txn, 0);
-    for (const auto& sub : txn.subs()) {
-      protocol_.SendSubTxn(coordinator, txn, sub, height, 0, false);
+    protocol_.Coordinate(coordinator, txn.id(), 0);
+    for (std::uint32_t sub = 0; sub < txn.subs().size(); ++sub) {
+      protocol_.SendSubTxn(coordinator, txn.id(), sub, height, 0, false);
     }
   }
 
@@ -223,8 +223,8 @@ TEST_F(PipelinedProtocolTest, RescheduleUpdatesOrdering) {
   Schedule(b, Height{40, 0, 0, 1, b.id()}, 0);
   Step();  // arrivals
   // Height update: a moves to color 2 (behind b).
-  for (const auto& sub : a.subs()) {
-    protocol_.SendSubTxn(0, a, sub, Height{40, 0, 0, 2, a.id()}, 0,
+  for (std::uint32_t sub = 0; sub < a.subs().size(); ++sub) {
+    protocol_.SendSubTxn(0, a.id(), sub, Height{40, 0, 0, 2, a.id()}, 0,
                          /*update=*/true);
   }
   RunUntilIdle(300);
