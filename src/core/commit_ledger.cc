@@ -187,6 +187,9 @@ void CommitLedger::ResolveSealedPartition(std::uint32_t part, Round round) {
 }
 
 void CommitLedger::FinishSealedRound(Round round) {
+  // End the WAL's round first: its staging lanes view the actions of the
+  // bodies released below (durability/wal.h).
+  if (wal_ != nullptr) wal_->FinishSealedRound();
   // Merge the partitions' completion buffers (each ascending by journal
   // index) back into global journal order: the latency recorder must see
   // the same sequence for every partition count.
@@ -219,7 +222,6 @@ void CommitLedger::FinishSealedRound(Round round) {
     shard_journal.clear();
   }
   sealed_parts_ = 0;
-  if (wal_ != nullptr) wal_->FinishSealedRound();
   journal_cap.Release();  // annotation-only, no runtime effect
 }
 

@@ -45,7 +45,10 @@
 //   * a reference returned by RegisterInjection or Body() stays valid
 //     until the transaction resolves, and no scheduler may hold one past
 //     that: coordinator records are erased at decision, destination
-//     entries at apply. Debug builds abort on a read of a released body.
+//     entries at apply. Debug builds abort on a read of a released body;
+//   * the WAL's staged commit records view their subtransaction's
+//     actions, so FinishSealedRound ends the WAL round (dropping the
+//     views) before it releases any body.
 // Body storage is a free list of stable slots, so its footprint tracks
 // the live transactions, not the id span. Per-id bookkeeping is a small
 // record in a dense window indexed by TxnId (TxnFactory issues ids

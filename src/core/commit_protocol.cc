@@ -50,7 +50,7 @@ bool CommitProtocol::Idle() const {
 
 std::uint64_t CommitProtocol::queued_subtxns() const {
   std::uint64_t count = 0;
-  for (const DestinationQueue& queue : queues_) count += queue.queued;
+  for (const DestinationQueue& queue : queues_) count += queue.entries.size();
   return count;
 }
 
@@ -78,15 +78,15 @@ void CommitProtocol::Coordinate(ShardId coordinator, TxnId txn,
                                 std::uint32_t cluster) {
   PendingCommit pending;
   pending.cluster = cluster;
-  coordinating_[coordinator].emplace(txn, std::move(pending));
+  coordinating_[coordinator].TryEmplace(txn, std::move(pending));
 }
 
 void CommitProtocol::SendSubTxn(ShardId coordinator, TxnId txn,
                                 std::uint32_t sub, Height height,
                                 std::uint32_t cluster, bool update) {
-  auto& slice = coordinating_[coordinator];
-  const auto it = slice.find(txn);
-  if (it != slice.end()) it->second.current_height = height;
+  if (PendingCommit* pending = coordinating_[coordinator].Find(txn)) {
+    pending->current_height = height;
+  }
   SubTxnMsg msg;
   msg.txn = txn;
   msg.cluster = cluster;
@@ -109,33 +109,32 @@ std::uint32_t CommitProtocol::DestinationIndex(TxnId txn,
 
 void CommitProtocol::Decide(ShardId coordinator, TxnId txn,
                             PendingCommit& pending, bool commit) {
-  pending.decided = true;
+  const std::uint32_t cluster = pending.cluster;
   for (const txn::SubTransaction& sub : ledger_->Body(txn).subs()) {
     ConfirmMsg confirm;
     confirm.txn = txn;
-    confirm.cluster = pending.cluster;
+    confirm.cluster = cluster;
     confirm.commit = commit;
     confirm.height = pending.current_height;
     outbox_->Send(coordinator, sub.destination, Message{confirm});
   }
-  if (on_decided_) on_decided_(txn, pending.cluster, commit);
+  coordinating_[coordinator].Erase(txn);
+  if (on_decided_) on_decided_(txn, cluster, commit);
 }
 
 void CommitProtocol::MaybeRequestRetract(ShardId dest) {
   DestinationQueue& queue = queues_[dest];
   if (!queue.pinned.has_value() || queue.retract_outstanding) return;
-  const auto pinned_it = queue.index.find(*queue.pinned);
-  SSHARD_CHECK(pinned_it != queue.index.end());
-  const Height& head = queue.entries.begin()->first;
-  if (head < pinned_it->second) {
+  const ScheduleEntry* pinned_entry = queue.entries.Find(*queue.pinned);
+  SSHARD_CHECK(pinned_entry != nullptr);
+  if (queue.entries.head().height < pinned_entry->height) {
     // A higher-priority subtransaction overtook the pinned one: ask its
     // coordinator for permission to withdraw our vote.
-    const Entry& pinned_entry = queue.entries.at(pinned_it->second);
     RetractRequestMsg request;
     request.txn = *queue.pinned;
-    request.cluster = pinned_entry.cluster;
+    request.cluster = pinned_entry->cluster;
     request.dest = dest;
-    outbox_->Send(dest, pinned_entry.coordinator, Message{request});
+    outbox_->Send(dest, pinned_entry->coordinator, Message{request});
     queue.retract_outstanding = true;
     ++queue.retracts;
   }
@@ -145,89 +144,66 @@ bool CommitProtocol::HandleMessage(ShardId to, Message& message,
                                    Round round) {
   if (auto* sub_msg = std::get_if<SubTxnMsg>(&message)) {
     DestinationQueue& queue = queues_[to];
-    auto index_it = queue.index.find(sub_msg->txn);
+    const ScheduleEntry* entry = queue.entries.Find(sub_msg->txn);
     if (sub_msg->update) {
       // FDS reschedule: refresh the height of a still-queued entry. Entries
       // already confirmed (popped) simply ignore the update.
-      if (index_it != queue.index.end() &&
-          index_it->second != sub_msg->height) {
-        auto node = queue.entries.extract(index_it->second);
-        const bool was_unvoted = queue.unvoted.erase(index_it->second) > 0;
-        node.key() = sub_msg->height;
-        queue.entries.insert(std::move(node));
-        if (was_unvoted) queue.unvoted.insert(sub_msg->height);
-        index_it->second = sub_msg->height;
+      if (entry != nullptr && entry->height != sub_msg->height) {
+        queue.entries.SetHeight(sub_msg->txn, sub_msg->height);
       }
     } else {
-      SSHARD_CHECK(index_it == queue.index.end() &&
+      SSHARD_CHECK(entry == nullptr &&
                    "duplicate schedule of a subtransaction");
-      Entry entry;
-      entry.txn = sub_msg->txn;
-      entry.cluster = sub_msg->cluster;
-      entry.coordinator = sub_msg->coordinator;
-      entry.sub = sub_msg->sub;
-      queue.entries.emplace(sub_msg->height, std::move(entry));
-      queue.index.emplace(sub_msg->txn, sub_msg->height);
-      if (mode_ == CommitMode::kPipelined) {
-        queue.unvoted.insert(sub_msg->height);
-      }
-      ++queue.queued;
+      ScheduleEntry fresh;
+      fresh.height = sub_msg->height;
+      fresh.txn = sub_msg->txn;
+      fresh.cluster = sub_msg->cluster;
+      fresh.coordinator = sub_msg->coordinator;
+      fresh.sub = sub_msg->sub;
+      queue.entries.Insert(fresh);
     }
     if (mode_ == CommitMode::kPinned) MaybeRequestRetract(to);
     return true;
   }
 
   if (auto* vote = std::get_if<VoteMsg>(&message)) {
-    auto& slice = coordinating_[to];
-    auto it = slice.find(vote->txn);
-    if (it == slice.end() || it->second.decided) {
+    PendingCommit* pending = coordinating_[to].Find(vote->txn);
+    if (pending == nullptr) {
       return true;  // stale vote after decision — ignore
     }
-    PendingCommit& pending = it->second;
     if (!vote->commit) {
       // Early abort: one abort vote settles the outcome.
-      Decide(to, vote->txn, pending, /*commit=*/false);
-      slice.erase(it);
+      Decide(to, vote->txn, *pending, /*commit=*/false);
       return true;
     }
-    pending.votes.Add(DestinationIndex(vote->txn, vote->dest));
-    if (pending.votes.size() ==
+    pending->votes.Add(DestinationIndex(vote->txn, vote->dest));
+    if (pending->votes.size() ==
         ledger_->Body(vote->txn).destinations().size()) {
-      Decide(to, vote->txn, pending, /*commit=*/true);
-      slice.erase(it);
+      Decide(to, vote->txn, *pending, /*commit=*/true);
     }
     return true;
   }
 
   if (auto* confirm = std::get_if<ConfirmMsg>(&message)) {
     DestinationQueue& queue = queues_[to];
-    const auto index_it = queue.index.find(confirm->txn);
-    SSHARD_CHECK(index_it != queue.index.end() &&
-                 "confirm for an unknown queue entry");
-    const auto entry_it = queue.entries.find(index_it->second);
-    SSHARD_CHECK(entry_it != queue.entries.end());
+    ScheduleEntry* entry = queue.entries.Find(confirm->txn);
+    SSHARD_CHECK(entry != nullptr && "confirm for an unknown queue entry");
     if (mode_ == CommitMode::kPipelined) {
       // Aborts write nothing: their position is irrelevant, pop at once.
       if (!confirm->commit) {
-        queue.unvoted.erase(index_it->second);
         ledger_->ApplyConfirmDeferred(
-            confirm->txn, ledger_->Sub(confirm->txn, entry_it->second.sub),
+            confirm->txn, ledger_->Sub(confirm->txn, entry->sub),
             /*commit=*/false, round);
-        queue.entries.erase(entry_it);
-        queue.index.erase(index_it);
-        --queue.queued;
+        queue.entries.Erase(confirm->txn);
         return true;
       }
-      // Commits: re-key the entry to the coordinator's final height so all
+      // Commits: move the entry to the coordinator's final height so all
       // shards agree on its position, then let ApplyDecidedInOrder pop it
       // in queue order (one commit per shard per round).
-      if (index_it->second != confirm->height) {
-        auto node = queue.entries.extract(index_it->second);
-        node.key() = confirm->height;
-        queue.entries.insert(std::move(node));
-        index_it->second = confirm->height;
+      if (entry->height != confirm->height) {
+        entry = &queue.entries.SetHeight(confirm->txn, confirm->height);
       }
-      queue.entries.at(confirm->height).decision = true;
+      entry->decided = true;
       return true;
     }
     if (confirm->commit) {
@@ -239,11 +215,9 @@ bool CommitProtocol::HandleMessage(ShardId to, Message& message,
                    "commit confirm for unpinned entry");
     }
     ledger_->ApplyConfirmDeferred(
-        confirm->txn, ledger_->Sub(confirm->txn, entry_it->second.sub),
-        confirm->commit, round);
-    queue.entries.erase(entry_it);
-    queue.index.erase(index_it);
-    --queue.queued;
+        confirm->txn, ledger_->Sub(confirm->txn, entry->sub), confirm->commit,
+        round);
+    queue.entries.Erase(confirm->txn);
     if (queue.pinned.has_value() && *queue.pinned == confirm->txn) {
       queue.pinned.reset();
       queue.retract_outstanding = false;
@@ -252,12 +226,11 @@ bool CommitProtocol::HandleMessage(ShardId to, Message& message,
   }
 
   if (auto* request = std::get_if<RetractRequestMsg>(&message)) {
-    auto& slice = coordinating_[to];
-    auto it = slice.find(request->txn);
-    if (it == slice.end() || it->second.decided) {
+    PendingCommit* pending = coordinating_[to].Find(request->txn);
+    if (pending == nullptr) {
       return true;  // decision already in flight; the confirm wins
     }
-    it->second.votes.Remove(DestinationIndex(request->txn, request->dest));
+    pending->votes.Remove(DestinationIndex(request->txn, request->dest));
     RetractAckMsg ack;
     ack.txn = request->txn;
     ack.cluster = request->cluster;
@@ -280,51 +253,42 @@ bool CommitProtocol::HandleMessage(ShardId to, Message& message,
 }
 
 void CommitProtocol::ApplyDecidedInOrder(ShardId dest, Round round) {
-  DestinationQueue& queue = queues_[dest];
-  if (queue.entries.empty()) return;
-  auto head = queue.entries.begin();
-  Entry& entry = head->second;
-  if (!entry.decision.has_value()) return;
-  SSHARD_DCHECK(*entry.decision);  // aborts were popped on confirm arrival
+  ScheduleQueue& queue = queues_[dest].entries;
+  if (queue.empty()) return;
+  const ScheduleEntry& head = queue.head();
+  // Only commit decisions are recorded: aborts were popped on arrival.
+  if (!head.decided) return;
   // Height-stability gate: schedule messages for an epoch always arrive
   // before the epoch's end (t_end), so from round t_end onward no entry
   // with a smaller-or-equal t_end — and hence no smaller height — can still
   // arrive. Applying only after the gate keeps the per-shard apply order
   // identical to the global height order (cross-shard serializability).
-  if (round < head->first.t_end) return;
-  ledger_->ApplyConfirmDeferred(entry.txn, ledger_->Sub(entry.txn, entry.sub),
+  if (round < head.height.t_end) return;
+  ledger_->ApplyConfirmDeferred(head.txn, ledger_->Sub(head.txn, head.sub),
                                 /*commit=*/true, round);
-  queue.unvoted.erase(head->first);
-  queue.index.erase(entry.txn);
-  queue.entries.erase(head);
-  --queue.queued;
+  queue.PopHead();
 }
 
 void CommitProtocol::IssueVotesForShard(ShardId dest, Round round) {
   DestinationQueue& queue = queues_[dest];
   if (mode_ == CommitMode::kPipelined) {
     // Algorithm 2b Step 1: pick one subtransaction per round and vote.
-    if (!queue.unvoted.empty()) {
-      const Height height = *queue.unvoted.begin();
-      queue.unvoted.erase(queue.unvoted.begin());
-      auto it = queue.entries.find(height);
-      SSHARD_CHECK(it != queue.entries.end());
-      Entry& entry = it->second;
-      entry.voted = true;
+    if (ScheduleEntry* entry = queue.entries.FirstUnvoted()) {
+      entry->voted = true;
       VoteMsg vote;
-      vote.txn = entry.txn;
-      vote.cluster = entry.cluster;
+      vote.txn = entry->txn;
+      vote.cluster = entry->cluster;
       vote.dest = dest;
-      vote.commit = ledger_->EvaluateSub(ledger_->Sub(entry.txn, entry.sub));
-      outbox_->Send(dest, entry.coordinator, Message{vote});
+      vote.commit =
+          ledger_->EvaluateSub(ledger_->Sub(entry->txn, entry->sub));
+      outbox_->Send(dest, entry->coordinator, Message{vote});
     }
     ApplyDecidedInOrder(dest, round);
     return;
   }
 
   if (queue.pinned.has_value() || queue.entries.empty()) return;
-  const auto head = queue.entries.begin();
-  const Entry& entry = head->second;
+  const ScheduleEntry& entry = queue.entries.head();
   VoteMsg vote;
   vote.txn = entry.txn;
   vote.cluster = entry.cluster;

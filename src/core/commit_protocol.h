@@ -47,20 +47,26 @@
 // reader here: a coordinator record is erased at decision, a destination
 // entry at apply, and a height update that arrives after the apply finds
 // no entry and never reads the body.
+//
+// Flat state: no heap node per transaction or subtransaction. Each
+// destination's schqd is a core::ScheduleQueue (one height-sorted entry
+// array carrying each entry's height and voted/decided flags, plus a
+// TxnId -> height index); in pipelined mode the first unvoted entry is
+// found through the queue's voted-prefix cursor, not a second set. Each
+// coordinating shard's records live in a common::FlatIdMap keyed by TxnId.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_id_map.h"
 #include "common/types.h"
 #include "core/commit_ledger.h"
 #include "core/height.h"
 #include "core/messages.h"
+#include "core/schedule_queue.h"
 #include "net/outbox.h"
 #include "txn/transaction.h"
 
@@ -139,25 +145,12 @@ class CommitProtocol {
   }
 
  private:
-  struct Entry {
-    TxnId txn = kInvalidTxn;
-    std::uint32_t cluster = 0;
-    ShardId coordinator = kInvalidShard;
-    std::uint32_t sub = 0;               ///< index into the body's subs()
-    bool voted = false;                  // pipelined mode
-    std::optional<bool> decision;        // pipelined mode: confirm received
-  };
-
   struct DestinationQueue {
-    std::map<Height, Entry> entries;
-    std::unordered_map<TxnId, Height> index;  ///< txn -> current height
+    ScheduleQueue entries;
     // kPinned state:
     std::optional<TxnId> pinned;
     bool retract_outstanding = false;  ///< waiting for ack/confirm
-    // kPipelined state: heights not yet voted, served one per round.
-    std::set<Height> unvoted;
-    // Shard-local counters, aggregated by the serial getters.
-    std::uint64_t queued = 0;
+    // Shard-local counter, aggregated by the serial getter.
     std::uint64_t retracts = 0;
   };
 
@@ -177,15 +170,16 @@ class CommitProtocol {
     std::uint32_t count_ = 0;
   };
 
+  /// A coordinator record; erased in the step that decides it.
   struct PendingCommit {
     std::uint32_t cluster = 0;
     Height current_height;  ///< latest height assigned (reschedule-aware)
     VoteSet votes;
-    bool decided = false;
   };
 
   /// Position of `dest` in `txn`'s sorted destination list.
   std::uint32_t DestinationIndex(TxnId txn, ShardId dest) const;
+  /// Send the decision and erase the record (`pending` dangles after).
   void Decide(ShardId coordinator, TxnId txn, PendingCommit& pending,
               bool commit);
   void MaybeRequestRetract(ShardId dest);
@@ -198,7 +192,7 @@ class CommitProtocol {
   std::vector<DestinationQueue> queues_;  // by destination shard
   // sch_ldr, partitioned by coordinating shard so vote/retract handling in
   // StepShard(coordinator) never races another shard's slice.
-  std::vector<std::unordered_map<TxnId, PendingCommit>> coordinating_;
+  std::vector<common::FlatIdMap<PendingCommit>> coordinating_;
 };
 
 }  // namespace stableshard::core

@@ -85,9 +85,11 @@ void FdsScheduler::OnDecided(TxnId txn, std::uint32_t cluster,
   // sch_ldr is that shard's state.
   SSHARD_OWNED(ownership_, hierarchy_->clusters()[cluster].leader);
   (void)committed;
-  ClusterState& state = cluster_state_[cluster];
-  const auto erased = state.active.erase(txn);
-  SSHARD_CHECK(erased == 1 && "decided txn missing from sch_ldr");
+  std::vector<TxnId>& active = cluster_state_[cluster].active;
+  const auto it = std::lower_bound(active.begin(), active.end(), txn);
+  SSHARD_CHECK(it != active.end() && *it == txn &&
+               "decided txn missing from sch_ldr");
+  active.erase(it);
 }
 
 void FdsScheduler::BeginRound(Round round) {
@@ -185,17 +187,9 @@ void FdsScheduler::RunColoring(const cluster::Cluster& cluster,
   for (const TxnId id : state.incoming) view.push_back(&ledger_->Body(id));
   if (reschedule) {
     ++reschedules_by_shard_[leader];
-    // sch_ldr is an unordered_map and the coloring result depends on view
-    // order, so the undecided set must be sorted into a platform-neutral
-    // order (by txn id) before it feeds the coloring.
-    const std::size_t first_active = view.size();
-    // lint:allow(unordered-iteration): sorted by txn id immediately below.
+    // The coloring result depends on view order: sch_ldr feeds it in its
+    // own ascending-id order.
     for (const TxnId id : state.active) view.push_back(&ledger_->Body(id));
-    std::sort(view.begin() + static_cast<std::ptrdiff_t>(first_active),
-              view.end(),
-              [](const txn::Transaction* a, const txn::Transaction* b) {
-                return a->id() < b->id();
-              });
   }
 
   const txn::ColoringResult coloring =
@@ -215,7 +209,17 @@ void FdsScheduler::RunColoring(const cluster::Cluster& cluster,
                            /*update=*/!is_new);
     }
   }
-  state.active.insert(state.incoming.begin(), state.incoming.end());
+  // Merge the new ids into sch_ldr. They are usually all larger than the
+  // scheduled ones (injected later), which makes the merge an append.
+  std::vector<TxnId>& active = state.active;
+  const auto old_size = static_cast<std::ptrdiff_t>(active.size());
+  active.insert(active.end(), state.incoming.begin(), state.incoming.end());
+  std::sort(active.begin() + old_size, active.end());
+  if (old_size > 0 && static_cast<std::size_t>(old_size) < active.size() &&
+      active[old_size] < active[old_size - 1]) {
+    std::inplace_merge(active.begin(), active.begin() + old_size,
+                       active.end());
+  }
   state.incoming.clear();
 }
 

@@ -52,7 +52,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/hierarchy.h"
@@ -134,8 +133,9 @@ class FdsScheduler : public NetworkedScheduler {
   struct ClusterState {
     /// Batches that arrived at the leader during the current epoch.
     std::vector<TxnId> incoming;
-    /// sch_ldr: scheduled but not yet decided transactions.
-    std::unordered_set<TxnId> active;
+    /// sch_ldr: scheduled but not yet decided transactions, ascending by
+    /// id (the order the reschedule recoloring reads them in).
+    std::vector<TxnId> active;
     bool ever_used = false;
   };
 

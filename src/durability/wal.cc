@@ -10,7 +10,7 @@ namespace stableshard::durability {
 
 namespace {
 
-void EncodePayload(Blob& out, const WalRecord& record) {
+void EncodePayload(Blob& out, const WalRecordView& record) {
   AppendU8(out, static_cast<std::uint8_t>(record.type));
   AppendU64(out, record.seq);
   AppendU64(out, record.txn);
@@ -71,7 +71,7 @@ bool DecodePayload(const std::uint8_t* data, std::size_t size,
 
 }  // namespace
 
-void AppendWalRecord(Blob& wal, const WalRecord& record) {
+void AppendWalRecord(Blob& wal, const WalRecordView& record) {
   // Encode the payload in place after a placeholder frame header, then
   // back-patch the header: the lane's own capacity absorbs the record, so
   // steady state allocates nothing per record (persist partitions encode
@@ -85,6 +85,12 @@ void AppendWalRecord(Blob& wal, const WalRecord& record) {
   StoreLittleEndian(wal.data() + header, size, 4);
   StoreLittleEndian(wal.data() + header + 4,
                     Fnv1a(wal.data() + payload, size), 8);
+}
+
+void AppendWalRecord(Blob& wal, const WalRecord& record) {
+  AppendWalRecord(wal, WalRecordView{record.type, record.seq, record.txn,
+                                     record.round, record.payload_digest,
+                                     record.actions});
 }
 
 WalReader::Status WalReader::Next(WalRecord* out) {
@@ -120,26 +126,18 @@ WalManager::WalManager(ShardId shards, MemoryStorage* storage)
 
 void WalManager::StageCommit(ShardId dest, TxnId txn, Round round,
                              std::uint64_t payload_digest,
-                             const std::vector<chain::Action>& actions) {
+                             std::span<const chain::Action> actions) {
   SSHARD_DCHECK(sealed_round_ == kNoRound && "WAL staged inside a seal");
-  WalRecord record;
-  record.type = WalRecordType::kCommit;
-  record.seq = ++next_seq_[dest];
-  record.txn = txn;
-  record.round = round;
-  record.payload_digest = payload_digest;
-  record.actions = actions;
-  staging_[dest].push_back(std::move(record));
+  staging_[dest].push_back(WalRecordView{WalRecordType::kCommit,
+                                         ++next_seq_[dest], txn, round,
+                                         payload_digest, actions});
 }
 
 void WalManager::StageAbort(ShardId dest, TxnId txn, Round round) {
   SSHARD_DCHECK(sealed_round_ == kNoRound && "WAL staged inside a seal");
-  WalRecord record;
-  record.type = WalRecordType::kAbort;
-  record.seq = ++next_seq_[dest];
-  record.txn = txn;
-  record.round = round;
-  staging_[dest].push_back(std::move(record));
+  staging_[dest].push_back(WalRecordView{WalRecordType::kAbort,
+                                         ++next_seq_[dest], txn, round,
+                                         /*payload_digest=*/0, {}});
 }
 
 void WalManager::Seal(Round round, std::uint32_t parts) {
@@ -153,7 +151,7 @@ void WalManager::PersistSealedPartition(std::uint32_t part) {
   SSHARD_DCHECK(part < sealed_parts_);
   const auto [begin, end] = FlushShardRange(shard_count(), part, sealed_parts_);
   for (ShardId shard = begin; shard < end; ++shard) {
-    for (const WalRecord& record : staging_[shard]) {
+    for (const WalRecordView& record : staging_[shard]) {
       AppendWalRecord(storage_->wal[shard], record);
     }
     records_by_shard_[shard] += staging_[shard].size();
@@ -164,7 +162,7 @@ void WalManager::FinishSealedRound() {
   SSHARD_CHECK(sealed_round_ != kNoRound && "finish without a seal");
   const Round round = sealed_round_;
   for (ShardId shard = 0; shard < shard_count(); ++shard) {
-    std::vector<WalRecord>& lane = staging_[shard];
+    std::vector<WalRecordView>& lane = staging_[shard];
     if (lane.empty()) continue;
     durable_seq_[shard] = lane.back().seq;
     if (on_durable_) on_durable_(shard, durable_seq_[shard], round);

@@ -24,6 +24,13 @@
 // assigned at staging time — shard-owned, monotonic from 1 — so "records
 // with seq <= durable_seq(shard) are on disk" is the recovery contract.
 //
+// Staged commit records do not copy their actions: a staged record views
+// the committed subtransaction's actions, which the CommitLedger owns until
+// the transaction resolves. The ledger's FinishSealedRound ends the WAL's
+// sealed round (clearing the lanes) before it releases any body, so no
+// staged view outlives its actions. Decoded records (WalRecord, read back
+// by recovery) own their actions; one encoder serves both.
+//
 // Record frame: u32 payload_size, u64 fnv1a(payload), payload. Payload:
 //   u8 type (1 = commit, 2 = abort), u64 seq, u64 txn, u64 round,
 //   commit only: u64 payload_digest, u32 n_actions,
@@ -36,6 +43,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "chain/ops.h"
@@ -56,7 +64,19 @@ struct WalRecord {
   std::vector<chain::Action> actions;
 };
 
+/// A record whose actions are viewed, not owned: what the WalManager
+/// stages, and what the encoder reads.
+struct WalRecordView {
+  WalRecordType type = WalRecordType::kAbort;
+  std::uint64_t seq = 0;
+  TxnId txn = 0;
+  Round round = 0;
+  std::uint64_t payload_digest = 0;
+  std::span<const chain::Action> actions;
+};
+
 /// Append one framed record to a WAL lane.
+void AppendWalRecord(Blob& wal, const WalRecordView& record);
 void AppendWalRecord(Blob& wal, const WalRecord& record);
 
 /// Sequential WAL decoder with torn-tail detection.
@@ -110,10 +130,11 @@ class WalManager {
   WalManager(ShardId shards, MemoryStorage* storage);
 
   /// Shard-owned staging (callable concurrently for distinct `dest`;
-  /// never inside a Seal..FinishSealedRound window).
+  /// never inside a Seal..FinishSealedRound window). StageCommit keeps a
+  /// view of `actions`, which must stay alive until FinishSealedRound.
   void StageCommit(ShardId dest, TxnId txn, Round round,
                    std::uint64_t payload_digest,
-                   const std::vector<chain::Action>& actions);
+                   std::span<const chain::Action> actions);
   void StageAbort(ShardId dest, TxnId txn, Round round);
 
   /// Serial: close the staging lanes for `round`, to be persisted in
@@ -142,7 +163,7 @@ class WalManager {
 
  private:
   MemoryStorage* storage_;
-  std::vector<std::vector<WalRecord>> staging_;  // per destination shard
+  std::vector<std::vector<WalRecordView>> staging_;  // per destination shard
   std::vector<std::uint64_t> next_seq_;     // advanced at staging time
   std::vector<std::uint64_t> durable_seq_;  // advanced at finish time
   /// Per-shard persisted-record counters (summed serially on read): the

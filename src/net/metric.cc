@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/check.h"
 
@@ -63,6 +64,23 @@ LineMetric::LineMetric(ShardId shards) : shards_(shards) {
 Distance LineMetric::distance(ShardId a, ShardId b) const {
   SSHARD_DCHECK(a < shards_ && b < shards_);
   return a > b ? a - b : b - a;
+}
+
+std::vector<ShardId> LineMetric::Neighborhood(ShardId center,
+                                              Distance radius) const {
+  SSHARD_DCHECK(center < shards_);
+  const ShardId first = center > radius ? center - radius : 0;
+  const ShardId last =
+      radius >= shards_ - 1 - center ? shards_ - 1 : center + radius;
+  std::vector<ShardId> result(last - first + 1);
+  std::iota(result.begin(), result.end(), first);
+  return result;
+}
+
+Distance LineMetric::SubsetDiameter(const std::vector<ShardId>& shards) const {
+  if (shards.empty()) return 0;
+  const auto [min, max] = std::minmax_element(shards.begin(), shards.end());
+  return *max - *min;
 }
 
 RingMetric::RingMetric(ShardId shards) : shards_(shards) {

@@ -34,13 +34,18 @@ class ShardMetric {
   /// configs, before the cache.
   Distance Diameter() const;
 
-  /// All shards within distance `radius` of `center` (includes `center`).
-  std::vector<ShardId> Neighborhood(ShardId center, Distance radius) const;
+  /// All shards within distance `radius` of `center` (includes `center`),
+  /// ascending. The generic scan is O(s); closed-form topologies override
+  /// it (hierarchy construction asks once per member of every cluster).
+  virtual std::vector<ShardId> Neighborhood(ShardId center,
+                                            Distance radius) const;
 
   /// Strong diameter of a shard subset: max pairwise distance measured with
   /// this metric (our clusters are metric balls, so induced-subgraph
   /// distances coincide with clique distances for the topologies we use).
-  Distance SubsetDiameter(const std::vector<ShardId>& shards) const;
+  /// The generic evaluation is O(n^2) in the subset size; closed-form
+  /// topologies override it.
+  virtual Distance SubsetDiameter(const std::vector<ShardId>& shards) const;
 
  protected:
   /// One-time diameter evaluation behind the Diameter() cache. The default
@@ -71,12 +76,17 @@ class UniformMetric final : public ShardMetric {
 };
 
 /// Line topology (paper Section 7, Figure 3): distance(i, j) = |i - j|,
-/// adjacent shards at distance 1, diameter s - 1.
+/// adjacent shards at distance 1, diameter s - 1. A neighborhood is the
+/// interval [center - radius, center + radius] clipped to the line, and a
+/// subset's diameter is its max - min.
 class LineMetric final : public ShardMetric {
  public:
   explicit LineMetric(ShardId shards);
   ShardId shard_count() const override { return shards_; }
   Distance distance(ShardId a, ShardId b) const override;
+  std::vector<ShardId> Neighborhood(ShardId center,
+                                    Distance radius) const override;
+  Distance SubsetDiameter(const std::vector<ShardId>& shards) const override;
 
  protected:
   Distance ComputeDiameter() const override { return shards_ - 1; }

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cluster/hierarchy.h"
@@ -109,6 +111,68 @@ TEST(LineShifted, SingleShardDegenerate) {
   const Cluster& cluster = hierarchy.FindHomeCluster(0, 0);
   EXPECT_TRUE(cluster.HasLeader());
   EXPECT_EQ(cluster.size(), 1u);
+}
+
+// LineMetric's closed-form Neighborhood and SubsetDiameter must equal the
+// generic ShardMetric definitions (called non-virtually) everywhere.
+TEST(LineMetricClosedForm, MatchesGenericDefinitions) {
+  Rng rng(11);
+  for (ShardId s = 1; s <= 64; ++s) {
+    const net::LineMetric metric(s);
+    const net::ShardMetric& base = metric;
+    for (ShardId center = 0; center < s; ++center) {
+      for (Distance radius = 0; radius <= s + 1; ++radius) {
+        const std::vector<ShardId> closed = base.Neighborhood(center, radius);
+        ASSERT_EQ(closed, base.ShardMetric::Neighborhood(center, radius))
+            << "s " << s << " center " << center << " radius " << radius;
+        ASSERT_EQ(base.SubsetDiameter(closed),
+                  base.ShardMetric::SubsetDiameter(closed));
+      }
+      const Distance huge = std::numeric_limits<Distance>::max() / 2;
+      ASSERT_EQ(base.Neighborhood(center, huge),
+                base.ShardMetric::Neighborhood(center, huge));
+    }
+    // Arbitrary (unsorted, gapped) subsets, the empty one included.
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<ShardId> subset;
+      const std::uint64_t count = rng.NextBounded(s + 1);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        subset.push_back(static_cast<ShardId>(rng.NextBounded(s)));
+      }
+      ASSERT_EQ(base.SubsetDiameter(subset),
+                base.ShardMetric::SubsetDiameter(subset));
+    }
+  }
+}
+
+// The shifted-line hierarchy built over the closed-form LineMetric equals
+// the one built over an explicit matrix of the same distances, which takes
+// the generic paths: same clusters, diameters, leaders, layers, sublayers.
+TEST(LineMetricClosedForm, HierarchyMatchesMatrixMetric) {
+  for (const ShardId s : {1u, 2u, 3u, 7u, 64u, 100u}) {
+    SCOPED_TRACE("s = " + std::to_string(s));
+    const net::LineMetric line(s);
+    std::vector<Distance> matrix(static_cast<std::size_t>(s) * s);
+    for (ShardId a = 0; a < s; ++a) {
+      for (ShardId b = 0; b < s; ++b) {
+        matrix[static_cast<std::size_t>(a) * s + b] = line.distance(a, b);
+      }
+    }
+    const net::MatrixMetric generic(s, std::move(matrix));
+    const Hierarchy closed = Hierarchy::BuildLineShifted(line);
+    const Hierarchy reference = Hierarchy::BuildLineShifted(generic);
+    ASSERT_EQ(closed.clusters().size(), reference.clusters().size());
+    EXPECT_EQ(closed.layer_count(), reference.layer_count());
+    for (std::size_t i = 0; i < closed.clusters().size(); ++i) {
+      const Cluster& a = closed.clusters()[i];
+      const Cluster& b = reference.clusters()[i];
+      EXPECT_EQ(a.shards, b.shards) << "cluster " << i;
+      EXPECT_EQ(a.diameter, b.diameter) << "cluster " << i;
+      EXPECT_EQ(a.leader, b.leader) << "cluster " << i;
+      EXPECT_EQ(a.layer, b.layer) << "cluster " << i;
+      EXPECT_EQ(a.sublayer, b.sublayer) << "cluster " << i;
+    }
+  }
 }
 
 struct CoverCase {

@@ -1,6 +1,6 @@
 // Allocation budget of the commit path: heap allocations per committed
-// transaction over a warm steady-state window of a serial BDS run and a
-// serial FDS run. Allocation counts are deterministic for a given build,
+// transaction over a warm steady-state window of serial BDS, FDS (with and
+// without a WAL) and backpressure runs. Allocation counts are deterministic for a given build,
 // so unlike a timing they cannot be fooled by host noise: a change that
 // adds a copy or a hash node per transaction shows up here at once.
 //
@@ -78,12 +78,15 @@ struct Budget {
   double bds;
   double fds;
   double fds_wal;
+  double backpressure;
 };
 
 #ifdef NDEBUG
-constexpr Budget kBudget = {19.5, 43.0, 51.0};  // measured 18.9, 41.6, 49.4
+// measured 18.9, 16.3, 16.4, 18.8
+constexpr Budget kBudget = {19.5, 16.8, 16.9, 19.4};
 #else
-constexpr Budget kBudget = {25.0, 46.5, 54.5};  // measured 24.2, 45.2, 53.0
+// measured 24.2, 19.9, 20.0, 19.6
+constexpr Budget kBudget = {25.0, 20.5, 20.6, 20.3};
 #endif
 
 core::SimConfig Serial(const char* scheduler, net::TopologyKind topology) {
@@ -130,6 +133,22 @@ TEST(CommitAllocations, FdsLineWithWalStaysWithinBudget) {
   const double per_commit = AllocationsPerCommit(config, 1000, 3000);
   std::printf("fds_line_wal_s64: %.2f allocations per commit\n", per_commit);
   EXPECT_LE(per_commit, kBudget.fds_wal);
+}
+
+// FDS behind watermark admission control on Zipf-hot destinations (the
+// backpressure golden's knobs): spilled transactions wait in the
+// scheduler's per-home spill queues before they reach the commit path.
+TEST(CommitAllocations, BackpressureHotDestinationStaysWithinBudget) {
+  core::SimConfig config = Serial("backpressure", net::TopologyKind::kLine);
+  config.strategy = "hot_destination";
+  config.zipf_theta = 1.0;
+  config.rho = 0.35;
+  config.backpressure_high = 6;
+  config.backpressure_low = 2;
+  const double per_commit = AllocationsPerCommit(config, 1000, 3000);
+  std::printf("backpressure_hotdest_s64: %.2f allocations per commit\n",
+              per_commit);
+  EXPECT_LE(per_commit, kBudget.backpressure);
 }
 
 }  // namespace

@@ -130,10 +130,15 @@ TEST(WalManagerTest, PartitionedPersistMatchesOnePartition) {
   MemoryStorage split_storage(5);
   WalManager single(5, &single_storage);
   WalManager split(5, &split_storage);
+  // Staged commits view their actions until FinishSealedRound.
+  std::vector<std::vector<chain::Action>> deposits;
+  for (ShardId shard = 0; shard < 5; ++shard) {
+    deposits.push_back({Deposit(shard, 5)});
+  }
   for (WalManager* wal : {&single, &split}) {
     for (ShardId shard = 0; shard < 5; ++shard) {
       wal->StageCommit(shard, /*txn=*/100 + shard, /*round=*/3,
-                       /*payload_digest=*/777, {Deposit(shard, 5)});
+                       /*payload_digest=*/777, deposits[shard]);
       if (shard % 2 == 0) wal->StageAbort(shard, 200 + shard, 3);
     }
   }
@@ -176,8 +181,9 @@ TEST(WalManagerDeathTest, StageInsideSealedWindowAborts) {
   wal.Seal(4, /*parts=*/1);
   EXPECT_DEATH(wal.StageAbort(1, /*txn=*/2, /*round=*/4),
                "WAL staged inside a seal");
+  const std::vector<chain::Action> deposit = {Deposit(1, 5)};
   EXPECT_DEATH(wal.StageCommit(1, /*txn=*/3, /*round=*/4,
-                               /*payload_digest=*/9, {Deposit(1, 5)}),
+                               /*payload_digest=*/9, deposit),
                "WAL staged inside a seal");
   wal.PersistSealedPartition(0);
   wal.FinishSealedRound();
