@@ -1,102 +1,35 @@
-// Shard-parallel round-loop bench: wall-clock speedup of worker_threads = N
-// over the serial path at large shard counts, with a bit-identical-results
-// assertion (the determinism contract of core/scheduler.h), plus the lazy
-// network-ring footprint (idle and steady-state) and the per-shard traffic
-// split that quantifies BDS's single-leader Amdahl bottleneck.
+// Fixed benchmark records. Each mode runs one fixed list of simulations,
+// asserts its relations with SSHARD_CHECK (a violated relation aborts the
+// run) and writes one record into the working directory:
 //
-// Single-config mode:
-//   build/bench/parallel_rounds [--scheduler=bds|fds|direct] [--shards=256]
-//       [--topology=uniform|line|ring] [--rho=0.3] [--b=3000]
-//       [--rounds=1500] [--workers=8] [--k=8] [--seed=42]
+//   build/bench/parallel_rounds --check         # BENCH_check.json
+//   build/bench/parallel_rounds --grid          # BENCH_scaling.json
+//   build/bench/parallel_rounds --backpressure  # BENCH_backpressure.json
+//   build/bench/parallel_rounds --traffic       # BENCH_traffic.json
+//   build/bench/parallel_rounds --faults        # BENCH_recovery.json
+//   build/bench/parallel_rounds --leadershare   # BENCH_leadershare.json
 //
-// Determinism check mode (the CI smoke): workers 1 vs 4, pipelined and
-// one-partition epilogue, every scheduler — including the sharded-leader
-// "bds_sharded" (color_leaders = 4) and multi-root "fds_multiroot"
-// (top_roots = 3) configurations — on small configs; asserts every
-// SimResult bit-identical and exits 0:
-//   build/bench/parallel_rounds --check
+// --traffic replays the fixtures in --trace-dir (default tests/traces).
+// Run from the repo root, a mode overwrites its tracked record; ctest runs
+// every mode in the build directory and byte-compares its output with the
+// tracked file. docs/BENCHMARKS.md documents each record's fields.
 //
-// Leader-share mode (the single-leader-degeneration before/after, drained):
-// fds vs fds_multiroot on diameter_span; asserts identical committed
-// counts, the busiest top-root leader below 3x the mean root-leader
-// share, and bit-identity across workers/pipeline:
-//   build/bench/parallel_rounds --leadershare [--smoke] [--shards=64]
-//       [--rounds=120] [--rho=0.10] [--roots=4]
-//
-// Crash/recovery mode (the durability churn record): BDS and FDS at s=64
-// with the WAL + checkpoints on and a two-event fault plan vs the
-// identical fault-free run; asserts drain + accounting identity, churn
-// commits == fault-free commits, wall rounds == fault-free + recovery
-// stalls, replay moved bytes, and workers/pipeline bit-identity:
-//   build/bench/parallel_rounds --faults [--smoke] [--shards=64]
-//       [--rounds=600] [--rho=0.2] [--checkpoint-interval=100]
-//       [--plan=5@350+12,23@520+18] [--json=BENCH_recovery.json]
-//
-// Phase-timing mode (the pipelined-epilogue before/after record): times
-// generate / inject / BeginRound / StepShard / flush / finish / sample
-// separately and reports each config's serial share, with the pipelined
-// epilogue off ("before": one flush partition inline on the driving
-// thread) and on ("after": destination-partitioned flush on the pool,
-// overlapped with next-round generation):
-//   build/bench/parallel_rounds --phases [--smoke] [--rounds=300]
-//       [--rho=0.15] [--b=3000] [--radius=8] [--json=BENCH_pipeline.json]
-//
-// Large-s grid mode (the ROADMAP s = 1024 sweep). Besides the standard
-// cells it appends the diameter_span before/after pair at s = 1024 — "fds"
-// (single top root, ~99% of traffic on one leader) vs "fds_multiroot"
-// (8 roots; asserts the busiest root leader < 3x the mean root-leader
-// share and identical committed counts) — and every JSON row carries
-// max_single_leader_queue and the root-leader imbalance:
-//   build/bench/parallel_rounds --grid [--rounds=400] [--rho=0.15]
-//       [--b=3000] [--workers=8] [--radius=8] [--json=BENCH_scaling.json]
-//
-// Backpressure head-to-head (the hot-destination load-shedding record):
-// fds vs the backpressure admission-control wrapper on
-// --strategy=hot_destination across Zipf exponents, sustained overload
-// (no one-shot burst — admission control cannot see a burst that lands
-// before any traffic exists). Asserts the accounting identity, that every
-// run drains, backpressure bit-identity across workers 1/4 x pipeline
-// on/off, and that the leader-queue peak is strictly below fds's at every
-// theta >= 1.0:
-//   build/bench/parallel_rounds --backpressure [--smoke] [--rounds=800]
-//       [--rho=0.35] [--shards=64] [--bp-high=48] [--bp-low=12]
-//       [--json=BENCH_backpressure.json]
-//
-// Open-loop traffic replay (the production-shaped workload record): the
-// tracked tests/traces/ fixtures — {diurnal, flash, migrating} x Zipf
-// theta {0.8, 1.2}, generated by tools/gen_trace.py — replayed through fds
-// vs the backpressure wrapper. Asserts every replay injects its whole
-// trace, drains with the accounting identity, commits exactly fds's
-// counts, cuts the migrating-skew leader-queue peak, and stays
-// bit-identical across workers 1/4 x pipeline on/off:
-//   build/bench/parallel_rounds --traffic [--smoke]
-//       [--trace-dir=tests/traces] [--bp-high=48] [--bp-low=12]
-//       [--json=BENCH_traffic.json]
-//
-// The grid runs s in {256, 512, 1024} on line (fds), ring (fds) and
-// uniform (bds) topologies with burst b = 3000 — the non-uniform cells use
-// the radius-bounded local workload (see the note at the config) — checks
-// worker_threads = 1 vs N bit-identical at every size, and writes a per-s
-// memory/speedup/leader-share table to BENCH_scaling.json. Two readings to
-// expect:
-//   * memory — ring_buckets_at_start is always 0 (the lazy ring allocates
-//     nothing at construction; the former dense table pre-allocated
-//     dense_bucket_equivalent = (Diameter + 2) * s vectors, ~1M / ~25 MB
-//     on the 1024-shard line);
-//   * Amdahl — BDS's per-epoch coloring runs at a single leader (a
-//     property of Algorithm 1), so its speedup plateaus while FDS scales;
-//     leader_in_share is the busiest shard's fraction of all delivered
-//     messages (1/s would be perfectly balanced).
+// Every run is repeated with 4 worker threads (the grid: 8), the pipelined
+// epilogue on and off, and must match the serial run bit for bit: the
+// determinism contract of core/scheduler.h. Records hold no wall clock;
+// timings come from benchmark/.
 #include <algorithm>
-#include <chrono>
+#include <array>
+#include <concepts>
 #include <cstdio>
-#include <cstdlib>
+#include <functional>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "cluster/hierarchy.h"
-#include "common/arena.h"
 #include "common/check.h"
 #include "common/flags.h"
 #include "consensus/backpressure_scheduler.h"
@@ -107,93 +40,61 @@ namespace {
 
 using namespace stableshard;
 
-struct TimedRun {
+/// One run's SimResult plus the scheduler introspection the records read.
+struct Run {
+  std::string scheduler;
   core::SimResult result;
-  double seconds = 0;
-  net::RingMemory memory_at_start;  ///< after construction, before round 0
-  net::RingMemory memory_at_end;
-  net::LaneMemory lane_memory_at_end;  ///< outbox footprint after the run
-  common::ArenaMemoryStats arena_at_end;  ///< coloring step-scratch arenas
-  core::PhaseTimes phases;
-  double leader_in_share = 0;   ///< max_i messages_in(i) / messages_sent
-  double leader_out_share = 0;  ///< max_i messages_out(i) / messages_sent
-  /// messages_in of each top-layer root cluster's leader, in root order
-  /// (empty when the scheduler runs without a hierarchy). These are the
-  /// numerators of the root-leader traffic shares the multi-root fix is
-  /// judged by: diameter-spanning load must spread across them instead of
-  /// funneling into root 0's leader.
+  net::RingMemory ring_at_start;  ///< after construction, before round 0
+  net::RingMemory ring_at_end;
+  double leader_in_share = 0;   ///< max_i messages_in(i) / messages
+  double leader_out_share = 0;  ///< max_i messages_out(i) / messages
+  /// messages_in of each top-root cluster's leader, in root order (empty
+  /// when the scheduler runs without a hierarchy).
   std::vector<std::uint64_t> root_leader_in;
+  // Admission-control counters (0 unless the scheduler is backpressure).
+  std::uint64_t deferred = 0;
+  std::uint64_t readmitted = 0;
+  std::uint64_t hot_transitions = 0;
 };
 
-TimedRun RunOnce(core::SimConfig config, std::uint32_t workers,
-                 bool pipeline = true) {
+Run RunOnce(core::SimConfig config, std::uint32_t workers, bool pipeline) {
   config.worker_threads = workers;
   config.pipeline = pipeline;
-  // This bench measures the pool itself (speedup columns, determinism
-  // checks), so the small-grid threshold must never silently serialize a
-  // "parallel" run: force the pool on whenever workers > 1.
+  // The small-grid guard must never serialize a pooled run, or the
+  // identity check would compare the serial path with itself.
   config.min_shards_per_worker = 1;
   core::Simulation sim(config);
-  TimedRun timed;
-  timed.memory_at_start = sim.scheduler().NetworkMemory();
-  const auto start = std::chrono::steady_clock::now();
-  timed.result = sim.Run();
-  timed.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  timed.memory_at_end = sim.scheduler().NetworkMemory();
-  timed.lane_memory_at_end = sim.scheduler().OutboxMemory();
-  timed.arena_at_end = sim.scheduler().ArenaMemory();
-  timed.phases = sim.phase_times();
+  const core::Scheduler& scheduler = sim.scheduler();
+  Run run;
+  run.scheduler = config.scheduler;
+  run.ring_at_start = scheduler.NetworkMemory();
+  run.result = sim.Run();
+  run.ring_at_end = scheduler.NetworkMemory();
   std::uint64_t max_in = 0, max_out = 0;
   for (ShardId shard = 0; shard < config.shards; ++shard) {
-    const net::ShardTraffic traffic = sim.scheduler().ShardTrafficFor(shard);
+    const net::ShardTraffic traffic = scheduler.ShardTrafficFor(shard);
     max_in = std::max(max_in, traffic.messages_in);
     max_out = std::max(max_out, traffic.messages_out);
   }
-  if (timed.result.messages > 0) {
-    timed.leader_in_share = static_cast<double>(max_in) /
-                            static_cast<double>(timed.result.messages);
-    timed.leader_out_share = static_cast<double>(max_out) /
-                             static_cast<double>(timed.result.messages);
+  if (run.result.messages > 0) {
+    const auto messages = static_cast<double>(run.result.messages);
+    run.leader_in_share = static_cast<double>(max_in) / messages;
+    run.leader_out_share = static_cast<double>(max_out) / messages;
   }
   if (const cluster::Hierarchy* hierarchy = sim.hierarchy()) {
     for (const std::uint32_t root : hierarchy->top_roots()) {
       const ShardId leader = hierarchy->clusters()[root].leader;
-      timed.root_leader_in.push_back(
-          sim.scheduler().ShardTrafficFor(leader).messages_in);
+      run.root_leader_in.push_back(
+          scheduler.ShardTrafficFor(leader).messages_in);
     }
   }
-  return timed;
-}
-
-/// Busiest-vs-mean ratio over the top-root leaders' inbound counts (0 when
-/// the run had no hierarchy or no traffic). 1.0 is perfectly balanced; the
-/// multi-root acceptance bar is < 3.0.
-double RootLeaderImbalance(const TimedRun& run) {
-  if (run.root_leader_in.empty()) return 0;
-  std::uint64_t max_in = 0, total = 0;
-  for (const std::uint64_t in : run.root_leader_in) {
-    max_in = std::max(max_in, in);
-    total += in;
+  if (const auto* backpressure =
+          dynamic_cast<const consensus::BackpressureScheduler*>(&scheduler)) {
+    run.deferred = backpressure->deferred_total();
+    run.readmitted = backpressure->readmitted_total();
+    run.hot_transitions = backpressure->hot_transitions();
   }
-  if (total == 0) return 0;
-  const double mean =
-      static_cast<double>(total) / static_cast<double>(run.root_leader_in.size());
-  return static_cast<double>(max_in) / mean;
-}
-
-/// Fraction of the run the driving thread spent outside the phases that
-/// scale with workers — the StepShard fan-out and, when the epilogue is
-/// pipelined, the pooled flush window (unpipelined, the flush is one
-/// inline partition and counts as serial) — the Amdahl serial share of
-/// one round.
-double SerialShare(const core::PhaseTimes& phases, bool pooled_flush) {
-  if (phases.total <= 0) return 0;
-  const double share = (phases.total - phases.step -
-                        (pooled_flush ? phases.flush : 0.0)) /
-                       phases.total;
-  return std::max(0.0, share);
+  return run;
 }
 
 /// Protocol-outcome fields equal, doubles bit-for-bit. This is the subset
@@ -227,1259 +128,586 @@ bool Identical(const core::SimResult& a, const core::SimResult& b) {
          a.recovery_rounds == b.recovery_rounds;
 }
 
-void PrintRingMemory(const TimedRun& run) {
-  const net::RingMemory& end = run.memory_at_end;
-  std::printf(
-      "ring memory: %llu buckets at start (dense table held %llu); "
-      "end of run: %llu live dests, %llu buckets, %.2f MB envelope capacity\n",
-      static_cast<unsigned long long>(run.memory_at_start.allocated_buckets),
-      static_cast<unsigned long long>(end.dense_bucket_equivalent),
-      static_cast<unsigned long long>(end.live_destinations),
-      static_cast<unsigned long long>(end.allocated_buckets),
-      static_cast<double>(end.bucket_capacity_bytes) / (1024.0 * 1024.0));
-  const net::LaneMemory& lanes = run.lane_memory_at_end;
-  std::printf(
-      "outbox lanes: %llu with capacity, %.2f MB reserved, decayed "
-      "high-water %llu items (burst capacity is released, not pinned)\n",
-      static_cast<unsigned long long>(lanes.lanes_with_capacity),
-      static_cast<double>(lanes.capacity_bytes) / (1024.0 * 1024.0),
-      static_cast<unsigned long long>(lanes.high_water_items));
-  const common::ArenaMemoryStats& arena = run.arena_at_end;
-  std::printf(
-      "coloring arenas: %llu chunks, %.2f KB reserved, high water %.2f KB "
-      "across %llu resets (step scratch is bump-allocated, not heaped)\n",
-      static_cast<unsigned long long>(arena.chunks),
-      static_cast<double>(arena.reserved_bytes) / 1024.0,
-      static_cast<double>(arena.high_water_bytes) / 1024.0,
-      static_cast<unsigned long long>(arena.resets));
+/// Runs `config` serially, then with `workers` threads and the pipelined
+/// epilogue on and off, and aborts unless all three SimResults are
+/// bit-identical. Returns the serial run. A run that commits nothing
+/// aborts as well: every equality over it, the identity here and each
+/// mode's committed-count relations, would be vacuous.
+Run RunChecked(const core::SimConfig& config, std::uint32_t workers = 4) {
+  const Run serial = RunOnce(config, 1, /*pipeline=*/true);
+  SSHARD_CHECK(serial.result.committed > 0 &&
+               "the run committed nothing — its relations are vacuous");
+  for (const bool pipeline : {true, false}) {
+    SSHARD_CHECK(
+        Identical(serial.result,
+                  RunOnce(config, workers, pipeline).result) &&
+        "worker_threads or the pipeline switch changed a SimResult — "
+        "determinism bug");
+  }
+  return serial;
 }
 
-struct GridRow {
-  ShardId shards = 0;
-  std::string topology;
-  std::string scheduler;
-  std::string strategy;
-  double serial_seconds = 0;
-  double parallel_seconds = 0;
-  double speedup = 0;
-  std::uint32_t workers = 0;
-  bool identical = false;
-  TimedRun parallel;  ///< memory + leader share from the parallel run
+/// Everything injected resolved, with the accounting identity.
+void CheckDrained(const core::SimResult& r) {
+  SSHARD_CHECK(r.drained && r.unresolved == 0 &&
+               r.injected == r.committed + r.aborted &&
+               "a run broke the accounting identity or failed to drain");
+}
+
+/// The base of the drained records: one account per shard, assigned
+/// round-robin, and a drain phase long enough to resolve every injection.
+core::SimConfig DrainedConfig(const char* scheduler,
+                              net::TopologyKind topology, ShardId shards) {
+  core::SimConfig config;
+  config.scheduler = scheduler;
+  config.topology = topology;
+  config.hierarchy = bench::HierarchyFor(topology);
+  config.shards = shards;
+  config.accounts = shards;
+  config.account_assignment = core::AccountAssignment::kRoundRobin;
+  config.drain_cap = 200000;
+  return config;
+}
+
+/// One JSON object, fields in insertion order. Doubles print with six
+/// decimals, so a record is byte-stable wherever its runs are
+/// bit-identical.
+class JsonRow {
+ public:
+  JsonRow& Add(const char* key, const char* value) {
+    return Field(key, std::string("\"") + value + "\"");
+  }
+  JsonRow& Add(const char* key, const std::string& value) {
+    return Add(key, value.c_str());
+  }
+  JsonRow& Add(const char* key, double value) {
+    char text[64];
+    std::snprintf(text, sizeof(text), "%.6f", value);
+    return Field(key, text);
+  }
+  template <std::integral T>
+  JsonRow& Add(const char* key, T value) {
+    if constexpr (std::same_as<T, bool>) {
+      return Field(key, value ? "true" : "false");
+    } else {
+      return Field(key, std::to_string(value));
+    }
+  }
+
+  const std::vector<std::pair<std::string, std::string>>& fields() const {
+    return fields_;
+  }
+  /// `{"key": value, ...}` on one line.
+  std::string Inline() const {
+    std::string text = "{";
+    for (const auto& [key, value] : fields_) {
+      if (text.size() > 1) text += ", ";
+      text += "\"" + key + "\": " + value;
+    }
+    return text + "}";
+  }
+
+ private:
+  JsonRow& Field(const char* key, std::string value) {
+    fields_.emplace_back(key, std::move(value));
+    return *this;
+  }
+
+  std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-int RunGrid(const Flags& flags) {
-  const auto rounds = static_cast<Round>(flags.GetUint("rounds", 400));
-  const double rho = flags.GetDouble("rho", 0.15);
-  const double burst = flags.GetDouble("b", 3000);
-  const auto workers = static_cast<std::uint32_t>(
-      std::max<std::uint64_t>(1, flags.GetUint("workers", 8)));
-  const std::uint64_t seed = flags.GetUint("seed", 42);
-  const auto radius = static_cast<Distance>(flags.GetUint("radius", 8));
-  const std::string json_path =
-      flags.GetString("json", "BENCH_scaling.json");
-  if (!flags.FinishReads()) return 2;
-  // Open the output before burning minutes of grid wall clock on a path
-  // that turns out to be unwritable.
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
-                 json_path.c_str());
-    return 2;
+/// A record being built: header fields, then one row per run. Rows echo to
+/// stdout as they are added, so a relation that aborts the mode shows the
+/// rows it was checking.
+class Record {
+ public:
+  Record(const char* name, JsonRow header)
+      : path_(std::string("BENCH_") + name + ".json"),
+        header_(std::move(header)) {}
+
+  void Add(const JsonRow& row) {
+    rows_.push_back(row.Inline());
+    std::printf("%s\n", rows_.back().c_str());
   }
 
-  std::printf("parallel_rounds grid: s in {256,512,1024}, b=%.0f, rho=%.2f, "
-              "%llu rounds, workers 1 vs %u\n\n",
-              burst, rho, static_cast<unsigned long long>(rounds), workers);
-  std::printf("%6s %8s %13s | %9s %9s %8s | %10s %12s | %9s %9s %10s\n", "s",
-              "topology", "sched", "serial_s", "par_s", "speedup", "buckets@0",
-              "buckets@end", "ldr_in%", "ldr_out%", "identical");
-
-  std::vector<GridRow> rows;
-  bool all_identical = true;
-  auto run_cell = [&](const core::SimConfig& config) -> const GridRow& {
-    const TimedRun serial = RunOnce(config, 1);
-    const TimedRun parallel = RunOnce(config, workers);
-    const bool identical = Identical(serial.result, parallel.result);
-    all_identical = all_identical && identical;
-
-    GridRow row;
-    row.shards = config.shards;
-    row.topology = net::TopologyName(config.topology);
-    row.scheduler = config.scheduler;
-    row.strategy = config.strategy;
-    row.serial_seconds = serial.seconds;
-    row.parallel_seconds = parallel.seconds;
-    row.speedup =
-        parallel.seconds > 0 ? serial.seconds / parallel.seconds : 0.0;
-    row.workers = workers;
-    row.identical = identical;
-    row.parallel = parallel;
-    rows.push_back(row);
-
-    std::printf(
-        "%6u %8s %13s | %9.3f %9.3f %7.2fx | %10llu %12llu | %8.2f%% "
-        "%8.2f%% %10s\n",
-        row.shards, row.topology.c_str(), row.scheduler.c_str(),
-        serial.seconds, parallel.seconds, row.speedup,
-        static_cast<unsigned long long>(
-            parallel.memory_at_start.allocated_buckets),
-        static_cast<unsigned long long>(
-            parallel.memory_at_end.allocated_buckets),
-        100.0 * parallel.leader_in_share, 100.0 * parallel.leader_out_share,
-        identical ? "yes" : "NO");
-    return rows.back();
-  };
-
-  for (const bench::LargeGridCell& cell : bench::LargeScaleGrid()) {
-    core::SimConfig config =
-        bench::LargeGridConfig(cell, rho, burst, rounds, radius);
-    config.seed = seed;
-    run_cell(config);
+  /// Writes the record into the working directory: the header one field
+  /// per line, then the rows one per line. Returns the exit code.
+  int Write() const {
+    std::FILE* file = std::fopen(path_.c_str(), "w");
+    if (file == nullptr) {
+      std::fprintf(stderr, "cannot open '%s' for writing\n", path_.c_str());
+      return 1;
+    }
+    std::fprintf(file, "{\n");
+    for (const auto& [key, value] : header_.fields()) {
+      std::fprintf(file, "  \"%s\": %s,\n", key.c_str(), value.c_str());
+    }
+    std::fprintf(file, "  \"rows\": [\n");
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      std::fprintf(file, "    %s%s\n", rows_[i].c_str(),
+                   i + 1 < rows_.size() ? "," : "");
+    }
+    std::fprintf(file, "  ]\n}\n");
+    if (std::fclose(file) != 0) {
+      std::fprintf(stderr, "cannot write '%s'\n", path_.c_str());
+      return 1;
+    }
+    std::printf("every relation held; wrote %s\n", path_.c_str());
+    return 0;
   }
 
-  // Before/after record for the single-leader degeneration fix:
-  // diameter_span at s = 1024 homes every transaction in a top-layer root
-  // cluster. With the classic single-top hierarchy ("fds", the "before"
-  // row) the lone root leader sees ~99% of all traffic; the multi-root
-  // hierarchy ("fds_multiroot", the "after" row) hashes the same workload
-  // across the root leaders, and the busiest of them must stay below 3x
-  // the mean root-leader share. The fix must not change what commits: at
-  // this scale the top-layer epochs outlast the bench window, so both
-  // rows must report identical committed counts.
-  std::printf("\ndiameter_span before/after (s=1024, line):\n");
-  std::uint64_t diameter_committed[2] = {0, 0};
-  double multiroot_imbalance = 0;
-  double before_share = 0, after_share = 0;
+ private:
+  std::string path_;
+  JsonRow header_;
+  std::vector<std::string> rows_;
+};
+
+/// Every scheduler on a small config, the sharded-leader and multi-root
+/// modes with non-trivial fan-outs (at knob value 1 they are "bds"/"fds"
+/// bit for bit, by tests/leader_sharding_test.cc). bds, fds and direct run
+/// again with the WAL and a checkpoint cadence on but no faults: the WAL
+/// is write-only until a crash, so the protocol outcome must not move.
+int Check() {
+  core::SimConfig base;
+  base.shards = 32;
+  base.accounts = 32;
+  base.rho = 0.2;
+  base.burstiness = 300;
+  base.rounds = 300;
+  Record record("check", JsonRow()
+                             .Add("bench", "parallel_rounds_check")
+                             .Add("shards", base.shards)
+                             .Add("k", base.k)
+                             .Add("rho", base.rho)
+                             .Add("burst", base.burstiness)
+                             .Add("rounds", base.rounds)
+                             .Add("workers_1_vs_4_pipeline_on_off_identical",
+                                  true));
   const struct {
     const char* scheduler;
-    std::uint32_t roots;
-  } diameter_cells[] = {{"fds", 1}, {"fds_multiroot", 8}};
-  for (std::size_t i = 0; i < 2; ++i) {
-    core::SimConfig config = bench::LargeGridConfig(
-        {net::TopologyKind::kLine, diameter_cells[i].scheduler, 1024}, rho,
-        burst, rounds, radius);
-    config.seed = seed;
-    config.strategy = "diameter_span";
-    config.fds_top_roots = diameter_cells[i].roots;
-    const GridRow& row = run_cell(config);
-    diameter_committed[i] = row.parallel.result.committed;
-    if (i == 0) {
-      before_share = row.parallel.leader_in_share;
-    } else {
-      after_share = row.parallel.leader_in_share;
-      multiroot_imbalance = RootLeaderImbalance(row.parallel);
-    }
-  }
-  std::printf(
-      "busiest-shard inbound share %.2f%% -> %.2f%%; busiest root leader "
-      "at %.2fx the mean root-leader share (bar: < 3x)\n",
-      100.0 * before_share, 100.0 * after_share, multiroot_imbalance);
-
-  // Per-s memory/speedup table, machine-readable (BENCH_scaling.json).
-  std::fprintf(json,
-               "{\n  \"bench\": \"parallel_rounds_grid\",\n"
-               "  \"burst\": %.0f,\n  \"rho\": %.4f,\n  \"rounds\": %llu,\n"
-               "  \"workers\": %u,\n  \"rows\": [\n",
-               burst, rho, static_cast<unsigned long long>(rounds), workers);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const GridRow& row = rows[i];
-    const net::RingMemory& memory = row.parallel.memory_at_end;
-    std::fprintf(
-        json,
-        "    {\"s\": %u, \"topology\": \"%s\", \"scheduler\": \"%s\",\n"
-        "     \"strategy\": \"%s\",\n"
-        "     \"serial_seconds\": %.6f, \"parallel_seconds\": %.6f,\n"
-        "     \"speedup\": %.4f, \"identical\": %s,\n"
-        "     \"ring_buckets_at_start\": %llu,\n"
-        "     \"ring_live_destinations\": %llu, \"ring_buckets\": %llu,\n"
-        "     \"ring_capacity_bytes\": %llu,\n"
-        "     \"dense_bucket_equivalent\": %llu,\n"
-        "     \"leader_in_share\": %.6f, \"leader_out_share\": %.6f,\n"
-        "     \"max_single_leader_queue\": %.6f,\n"
-        "     \"root_leaders\": %zu, \"root_leader_imbalance\": %.6f,\n"
-        "     \"committed\": %llu, \"messages\": %llu}%s\n",
-        row.shards, row.topology.c_str(), row.scheduler.c_str(),
-        row.strategy.c_str(),
-        row.serial_seconds, row.parallel_seconds, row.speedup,
-        row.identical ? "true" : "false",
-        static_cast<unsigned long long>(
-            row.parallel.memory_at_start.allocated_buckets),
-        static_cast<unsigned long long>(memory.live_destinations),
-        static_cast<unsigned long long>(memory.allocated_buckets),
-        static_cast<unsigned long long>(memory.bucket_capacity_bytes),
-        static_cast<unsigned long long>(memory.dense_bucket_equivalent),
-        row.parallel.leader_in_share, row.parallel.leader_out_share,
-        row.parallel.result.max_single_leader_queue,
-        row.parallel.root_leader_in.size(),
-        RootLeaderImbalance(row.parallel),
-        static_cast<unsigned long long>(row.parallel.result.committed),
-        static_cast<unsigned long long>(row.parallel.result.messages),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-
-  SSHARD_CHECK(all_identical &&
-               "worker_threads changed a SimResult — determinism bug");
-  SSHARD_CHECK(diameter_committed[0] == diameter_committed[1] &&
-               "multi-root hierarchy changed the diameter_span committed "
-               "count — the fix must redistribute load, not outcomes");
-  SSHARD_CHECK(multiroot_imbalance < 3.0 &&
-               "busiest top-root leader above 3x the mean root-leader "
-               "share — the multi-root spread regressed");
-  std::printf(
-      "\nall %zu grid cells bit-identical across worker counts; "
-      "table written to %s\n"
-      "Reading: BDS (uniform) speedup plateaus — Algorithm 1 colors each "
-      "epoch at one leader — while FDS distributes coloring across cluster "
-      "leaders; the lazy ring allocates 0 buckets until first contact "
-      "(dense table held (D+2)*s).\n",
-      rows.size(), json_path.c_str());
-  return 0;
-}
-
-/// One row of the --phases table/JSON: one (cell, workers, pipeline) run.
-struct PhasesRow {
-  ShardId shards = 0;
-  std::string topology;
-  std::string scheduler;
-  std::uint32_t workers = 0;
-  bool pipeline = false;
-  double seconds = 0;
-  double speedup = 0;  ///< vs the cell's workers = 1 baseline
-  double serial_share = 0;
-  double max_single_leader_queue = 0;  ///< SimResult peak per-leader queue
-  bool identical = false;
-  core::PhaseTimes phases;
-  net::LaneMemory lanes;
-  common::ArenaMemoryStats arena;
-};
-
-int RunPhases(const Flags& flags) {
-  const bool smoke = flags.GetBool("smoke", false);
-  const auto rounds =
-      static_cast<Round>(flags.GetUint("rounds", smoke ? 200 : 300));
-  const double rho = flags.GetDouble("rho", 0.15);
-  const double burst = flags.GetDouble("b", smoke ? 500 : 3000);
-  const std::uint64_t seed = flags.GetUint("seed", 42);
-  const auto radius = static_cast<Distance>(flags.GetUint("radius", 8));
-  const std::string json_path =
-      flags.GetString("json", "BENCH_pipeline.json");
-  if (!flags.FinishReads()) return 2;
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
-                 json_path.c_str());
-    return 2;
-  }
-
-  const std::vector<ShardId> sizes =
-      smoke ? std::vector<ShardId>{64} : std::vector<ShardId>{256, 1024};
-  const std::vector<std::uint32_t> worker_grid =
-      smoke ? std::vector<std::uint32_t>{1, 4}
-            : std::vector<std::uint32_t>{1, 2, 4, 8};
-  const std::pair<net::TopologyKind, const char*> cells[] = {
-      {net::TopologyKind::kUniform, "bds"}, {net::TopologyKind::kLine, "fds"}};
-
-  std::printf(
-      "parallel_rounds phases: per-round wall-clock split, pipelined "
-      "epilogue off (\"before\": one inline flush partition) vs on "
-      "(\"after\": destination-partitioned flush + overlapped "
-      "generation)\n\n");
-  std::printf("%6s %8s %5s %7s %8s | %8s %8s | %8s %8s %8s %8s | %8s\n", "s",
-              "topology", "sched", "workers", "pipeline", "seconds",
-              "speedup", "step_s", "flush_s", "finish_s", "serial%",
-              "identical");
-
-  std::vector<PhasesRow> rows;
-  bool all_identical = true;
-  for (const auto& [topology, scheduler] : cells) {
-    for (const ShardId shards : sizes) {
-      core::SimConfig config = bench::LargeGridConfig(
-          {topology, scheduler, shards}, rho, burst, rounds, radius);
-      config.seed = seed;
-
-      TimedRun baseline;
-      for (const std::uint32_t workers : worker_grid) {
-        // workers = 1 has no pool, so the pipeline flag is moot: run it
-        // once as the shared baseline.
-        for (const bool pipeline : {false, true}) {
-          if (workers == 1 && !pipeline) continue;
-          const TimedRun timed = RunOnce(config, workers, pipeline);
-          if (workers == 1) baseline = timed;
-          const bool identical =
-              Identical(baseline.result, timed.result);
-          all_identical = all_identical && identical;
-
-          PhasesRow row;
-          row.shards = shards;
-          row.topology = net::TopologyName(topology);
-          row.scheduler = scheduler;
-          row.workers = workers;
-          row.pipeline = pipeline;
-          row.seconds = timed.seconds;
-          row.speedup =
-              timed.seconds > 0 ? baseline.seconds / timed.seconds : 0.0;
-          row.serial_share =
-              SerialShare(timed.phases, workers > 1 && pipeline);
-          row.max_single_leader_queue =
-              timed.result.max_single_leader_queue;
-          row.identical = identical;
-          row.phases = timed.phases;
-          row.lanes = timed.lane_memory_at_end;
-          row.arena = timed.arena_at_end;
-          rows.push_back(row);
-
-          std::printf(
-              "%6u %8s %5s %7u %8s | %8.3f %7.2fx | %8.3f %8.3f %8.3f "
-              "%7.1f%% | %8s\n",
-              shards, row.topology.c_str(), scheduler, workers,
-              workers == 1 ? "n/a" : (pipeline ? "on" : "off"),
-              timed.seconds, row.speedup, timed.phases.step,
-              timed.phases.flush, timed.phases.finish,
-              100.0 * row.serial_share, identical ? "yes" : "NO");
-        }
-      }
-    }
-  }
-
-  std::fprintf(json,
-               "{\n  \"bench\": \"parallel_rounds_phases\",\n"
-               "  \"burst\": %.0f,\n  \"rho\": %.4f,\n  \"rounds\": %llu,\n"
-               "  \"rows\": [\n",
-               burst, rho, static_cast<unsigned long long>(rounds));
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const PhasesRow& row = rows[i];
-    std::fprintf(
-        json,
-        "    {\"s\": %u, \"topology\": \"%s\", \"scheduler\": \"%s\",\n"
-        "     \"workers\": %u, \"pipeline\": %s,\n"
-        "     \"seconds\": %.6f, \"speedup\": %.4f, \"identical\": %s,\n"
-        "     \"serial_share\": %.6f,\n"
-        "     \"max_single_leader_queue\": %.6f,\n"
-        "     \"phase_generate\": %.6f, \"phase_inject\": %.6f,\n"
-        "     \"phase_begin\": %.6f, \"phase_step\": %.6f,\n"
-        "     \"phase_flush\": %.6f, \"phase_finish\": %.6f,\n"
-        "     \"phase_sample\": %.6f, \"phase_total\": %.6f,\n"
-        "     \"outbox_capacity_bytes\": %llu,\n"
-        "     \"outbox_high_water_items\": %llu,\n"
-        "     \"arena_reserved_bytes\": %llu,\n"
-        "     \"arena_high_water_bytes\": %llu,\n"
-        "     \"arena_resets\": %llu}%s\n",
-        row.shards, row.topology.c_str(), row.scheduler.c_str(), row.workers,
-        row.pipeline ? "true" : "false", row.seconds, row.speedup,
-        row.identical ? "true" : "false", row.serial_share,
-        row.max_single_leader_queue,
-        row.phases.generate, row.phases.inject, row.phases.begin,
-        row.phases.step, row.phases.flush, row.phases.finish,
-        row.phases.sample, row.phases.total,
-        static_cast<unsigned long long>(row.lanes.capacity_bytes),
-        static_cast<unsigned long long>(row.lanes.high_water_items),
-        static_cast<unsigned long long>(row.arena.reserved_bytes),
-        static_cast<unsigned long long>(row.arena.high_water_bytes),
-        static_cast<unsigned long long>(row.arena.resets),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-
-  SSHARD_CHECK(all_identical &&
-               "pipeline/worker_threads changed a SimResult — determinism "
-               "bug");
-  std::printf(
-      "\nall %zu runs bit-identical across worker counts and pipeline "
-      "modes; table written to %s\n"
-      "Reading: with the pipeline off, flush_s is one inline partition "
-      "and counts as serial; with it on, flush_s is a pool-partitioned "
-      "window that also hides next-round generation, so the serial share "
-      "(everything outside step_s and the pooled flush_s) drops.\n",
-      rows.size(), json_path.c_str());
-  return 0;
-}
-
-/// One side of the backpressure head-to-head: the SimResult plus the
-/// admission-control introspection (zero for plain fds).
-struct BackpressureRun {
-  core::SimResult result;
-  std::uint64_t deferred = 0;
-  std::uint64_t readmitted = 0;
-  std::uint64_t hot_transitions = 0;
-};
-
-BackpressureRun RunHotDestination(core::SimConfig config,
-                                  std::uint32_t workers,
-                                  bool pipeline = true) {
-  config.worker_threads = workers;
-  config.pipeline = pipeline;
-  config.min_shards_per_worker = 1;  // pool on: the checks compare workers
-  core::Simulation sim(config);
-  BackpressureRun run;
-  run.result = sim.Run();
-  if (const auto* backpressure =
-          dynamic_cast<const consensus::BackpressureScheduler*>(
-              &sim.scheduler())) {
-    run.deferred = backpressure->deferred_total();
-    run.readmitted = backpressure->readmitted_total();
-    run.hot_transitions = backpressure->hot_transitions();
-  }
-  return run;
-}
-
-int RunBackpressure(const Flags& flags) {
-  const bool smoke = flags.GetBool("smoke", false);
-  // Smoke needs enough rounds for the shedding to engage visibly: with the
-  // spread leader placement the hot cluster saturates a little later, and
-  // at 250 rounds the fds/backpressure peaks were within noise of each
-  // other — 400 keeps a clear margin on the strict peak comparison.
-  const auto rounds =
-      static_cast<Round>(flags.GetUint("rounds", smoke ? 400 : 800));
-  const double rho = flags.GetDouble("rho", 0.35);
-  const auto shards = static_cast<ShardId>(flags.GetUint("shards", 64));
-  const std::uint64_t seed = flags.GetUint("seed", 42);
-  const std::uint64_t bp_high = flags.GetUint("bp-high", 48);
-  const std::uint64_t bp_low = flags.GetUint("bp-low", 12);
-  const std::string json_path =
-      flags.GetString("json", "BENCH_backpressure.json");
-  if (!flags.FinishReads()) return 2;
-  // Same contract as simulate_cli: watermark typos are input errors
-  // (exit 2), never reach the scheduler constructor's aborting check.
-  if (!core::ValidateBackpressureWatermarks(bp_low, bp_high)) return 2;
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
-                 json_path.c_str());
-    return 2;
-  }
-
-  // Sustained overload on the line topology, no one-shot burst: the
-  // leader queue must build from steady Zipf-skewed arrivals for
-  // injection-side shedding to have anything to shed.
-  core::SimConfig base;
-  base.scheduler = "fds";
-  base.topology = net::TopologyKind::kLine;
-  base.hierarchy = bench::HierarchyFor(base.topology);
-  base.shards = shards;
-  base.accounts = shards;
-  base.account_assignment = core::AccountAssignment::kRoundRobin;
-  base.k = 8;
-  base.rho = rho;
-  base.burst_round = kNoRound;
-  base.strategy = "hot_destination";
-  base.rounds = rounds;
-  base.drain_cap = 200000;
-  base.seed = seed;
-  base.backpressure_high = bp_high;
-  base.backpressure_low = bp_low;
-
-  const std::vector<double> thetas =
-      smoke ? std::vector<double>{1.2}
-            : std::vector<double>{0.0, 0.5, 1.0, 1.5};
-
-  std::printf(
-      "parallel_rounds backpressure: fds vs backpressure (high=%llu "
-      "low=%llu) on hot_destination, s=%u, rho=%.2f, %llu rounds + drain\n\n",
-      static_cast<unsigned long long>(bp_high),
-      static_cast<unsigned long long>(bp_low), shards, rho,
-      static_cast<unsigned long long>(rounds));
-  std::printf("%6s %13s | %10s %10s %10s | %9s %10s %9s | %9s %8s\n",
-              "zipf", "scheduler", "ldrq_avg", "ldrq_peak", "spill_pk",
-              "deferred", "committed", "avg_lat", "p99_lat", "drained");
-
-  struct Row {
-    double theta = 0;
-    const char* scheduler = "";
-    BackpressureRun run;
-  };
-  std::vector<Row> rows;
-  bool all_ok = true;
-  bool peaks_below = true;
-  bool commits_match = true;
-  for (const double theta : thetas) {
+    std::uint32_t color_leaders;
+    std::uint32_t top_roots;
+    bool wal_cell;
+  } cells[] = {{"bds", 1, 1, true},          {"bds_sharded", 4, 1, false},
+               {"fds", 1, 1, true},          {"fds_multiroot", 1, 3, false},
+               {"direct", 1, 1, true},       {"backpressure", 1, 1, false}};
+  for (const auto& cell : cells) {
     core::SimConfig config = base;
-    config.zipf_theta = theta;
-    BackpressureRun fds_run, bp_run;
-    for (const char* scheduler : {"fds", "backpressure"}) {
-      config.scheduler = scheduler;
-      const BackpressureRun run = RunHotDestination(config, 1);
-      const core::SimResult& r = run.result;
-      const bool identity =
-          r.injected == r.committed + r.aborted + r.unresolved;
-      all_ok = all_ok && identity && r.drained && r.unresolved == 0;
-      std::printf(
-          "%6.2f %13s | %10.2f %10.1f %10llu | %9llu %10llu %9.1f | %9.0f "
-          "%8s\n",
-          theta, scheduler, r.avg_leader_queue, r.max_leader_queue,
-          static_cast<unsigned long long>(r.spill_peak),
-          static_cast<unsigned long long>(run.deferred),
-          static_cast<unsigned long long>(r.committed), r.avg_latency,
-          r.p99_latency, r.drained ? "yes" : "NO");
-      rows.push_back({theta, scheduler, run});
-      if (std::string(scheduler) == "fds") {
-        fds_run = run;
-      } else {
-        bp_run = run;
-      }
-    }
-    // The printed claim "commits exactly what fds commits" is asserted,
-    // not just recorded: both sides drain with zero aborts here, so any
-    // admission drop/duplication shows up as a committed mismatch.
-    commits_match =
-        commits_match && bp_run.result.committed == fds_run.result.committed;
-    // The acceptance bar: under real skew the shedding must strictly cut
-    // the hot leader's queue peak (milder thetas are throughput
-    // no-regression cells, though the gate still defers some admissions
-    // when the overloaded baseline crosses the watermarks).
-    if (theta >= 1.0) {
-      peaks_below = peaks_below && bp_run.result.max_leader_queue <
-                                       fds_run.result.max_leader_queue;
-    }
-  }
+    config.scheduler = cell.scheduler;
+    config.bds_color_leaders = cell.color_leaders;
+    config.fds_top_roots = cell.top_roots;
+    config.topology = config.scheduler.rfind("bds", 0) == 0
+                          ? net::TopologyKind::kUniform
+                          : net::TopologyKind::kLine;
+    config.hierarchy = bench::HierarchyFor(config.topology);
+    const auto add_row = [&](const core::SimResult& r) {
+      record.Add(JsonRow()
+                     .Add("scheduler", cell.scheduler)
+                     .Add("color_leaders", cell.color_leaders)
+                     .Add("top_roots", cell.top_roots)
+                     .Add("wal", config.wal)
+                     .Add("injected", r.injected)
+                     .Add("committed", r.committed)
+                     .Add("aborted", r.aborted)
+                     .Add("unresolved", r.unresolved)
+                     .Add("messages", r.messages)
+                     .Add("max_pending", r.max_pending)
+                     .Add("avg_latency", r.avg_latency)
+                     .Add("p99_latency", r.p99_latency)
+                     .Add("wal_bytes", r.wal_bytes)
+                     .Add("checkpoint_count", r.checkpoint_count));
+    };
+    const core::SimResult off = RunChecked(config).result;
+    add_row(off);
+    if (!cell.wal_cell) continue;
 
-  // Determinism spot-check at the highest theta: workers 1 vs 4, pipeline
-  // on and off, all bit-identical for the admission-control wrapper.
-  core::SimConfig config = base;
+    config.wal = true;
+    config.checkpoint_interval = 50;
+    const core::SimResult on = RunChecked(config).result;
+    add_row(on);
+    SSHARD_CHECK(IdenticalProtocol(off, on) &&
+                 "enabling the WAL changed a protocol outcome — durability "
+                 "must be write-only without faults");
+    SSHARD_CHECK(on.wal_bytes > 0 && on.checkpoint_count > 0 &&
+                 "WAL cell persisted nothing — the check is vacuous");
+  }
+  return record.Write();
+}
+
+/// The large-s grid (bench::LargeScaleGrid): s in {256, 512, 1024} on line
+/// and ring (fds) and uniform (bds), b = 3000, the non-uniform cells on
+/// the radius-8 local workload. Records each cell's network-ring footprint
+/// (the lazy ring allocates nothing before first contact; a dense table
+/// held (Diameter + 2) * s buckets) and the busiest shard's share of all
+/// messages (1/s is perfectly balanced).
+int Grid() {
+  constexpr double kRho = 0.15;
+  constexpr std::uint32_t kBurst = 3000;
+  constexpr Round kRounds = 400;
+  constexpr std::uint32_t kWorkers = 8;
+  constexpr Distance kRadius = 8;
+  Record record("scaling", JsonRow()
+                               .Add("bench", "parallel_rounds_grid")
+                               .Add("burst", kBurst)
+                               .Add("rho", kRho)
+                               .Add("rounds", kRounds)
+                               .Add("workers", kWorkers));
+  for (const bench::LargeGridCell& cell : bench::LargeScaleGrid()) {
+    const core::SimConfig config =
+        bench::LargeGridConfig(cell, kRho, kBurst, kRounds, kRadius);
+    const Run run = RunChecked(config, kWorkers);
+    const net::RingMemory& ring = run.ring_at_end;
+    record.Add(JsonRow()
+                   .Add("s", config.shards)
+                   .Add("topology", net::TopologyName(config.topology))
+                   .Add("scheduler", config.scheduler)
+                   .Add("strategy", config.strategy)
+                   .Add("identical", true)
+                   .Add("ring_buckets_at_start",
+                        run.ring_at_start.allocated_buckets)
+                   .Add("ring_live_destinations", ring.live_destinations)
+                   .Add("ring_buckets", ring.allocated_buckets)
+                   .Add("ring_capacity_bytes", ring.bucket_capacity_bytes)
+                   .Add("dense_bucket_equivalent",
+                        ring.dense_bucket_equivalent)
+                   .Add("leader_in_share", run.leader_in_share)
+                   .Add("leader_out_share", run.leader_out_share)
+                   .Add("max_single_leader_queue",
+                        run.result.max_single_leader_queue)
+                   .Add("committed", run.result.committed)
+                   .Add("messages", run.result.messages));
+    SSHARD_CHECK(run.ring_at_start.allocated_buckets == 0 &&
+                 "the network ring allocated buckets before first contact");
+  }
+  return record.Write();
+}
+
+/// fds and the backpressure wrapper on the same workload, each drained.
+/// Shedding defers admissions and never drops one, so both sides must
+/// commit the same count. Returns {fds, backpressure}.
+std::array<Run, 2> FdsVsBackpressure(core::SimConfig config) {
+  config.scheduler = "fds";
+  const Run fds = RunChecked(config);
   config.scheduler = "backpressure";
-  config.zipf_theta = thetas.back();
-  config.rounds = std::min<Round>(rounds, 300);
-  const BackpressureRun serial = RunHotDestination(config, 1);
-  const bool identical =
-      Identical(serial.result, RunHotDestination(config, 4, true).result) &&
-      Identical(serial.result, RunHotDestination(config, 4, false).result);
-
-  std::fprintf(json,
-               "{\n  \"bench\": \"parallel_rounds_backpressure\",\n"
-               "  \"strategy\": \"hot_destination\",\n"
-               "  \"topology\": \"line\",\n"
-               "  \"shards\": %u,\n  \"rho\": %.4f,\n  \"rounds\": %llu,\n"
-               "  \"bp_high\": %llu,\n  \"bp_low\": %llu,\n"
-               "  \"workers_1_vs_4_pipeline_on_off_identical\": %s,\n"
-               "  \"rows\": [\n",
-               shards, rho, static_cast<unsigned long long>(rounds),
-               static_cast<unsigned long long>(bp_high),
-               static_cast<unsigned long long>(bp_low),
-               identical ? "true" : "false");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    const core::SimResult& r = row.run.result;
-    std::fprintf(
-        json,
-        "    {\"zipf_theta\": %.2f, \"scheduler\": \"%s\",\n"
-        "     \"avg_leader_queue\": %.6f, \"max_leader_queue\": %.6f,\n"
-        "     \"spill_peak\": %llu, \"deferred\": %llu,\n"
-        "     \"readmitted\": %llu, \"hot_transitions\": %llu,\n"
-        "     \"injected\": %llu, \"committed\": %llu, \"aborted\": %llu,\n"
-        "     \"unresolved\": %llu, \"avg_latency\": %.6f,\n"
-        "     \"p99_latency\": %.6f, \"max_pending\": %llu,\n"
-        "     \"messages\": %llu, \"drained\": %s}%s\n",
-        row.theta, row.scheduler, r.avg_leader_queue, r.max_leader_queue,
-        static_cast<unsigned long long>(r.spill_peak),
-        static_cast<unsigned long long>(row.run.deferred),
-        static_cast<unsigned long long>(row.run.readmitted),
-        static_cast<unsigned long long>(row.run.hot_transitions),
-        static_cast<unsigned long long>(r.injected),
-        static_cast<unsigned long long>(r.committed),
-        static_cast<unsigned long long>(r.aborted),
-        static_cast<unsigned long long>(r.unresolved), r.avg_latency,
-        r.p99_latency, static_cast<unsigned long long>(r.max_pending),
-        static_cast<unsigned long long>(r.messages),
-        r.drained ? "true" : "false", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-
-  SSHARD_CHECK(all_ok &&
-               "a run broke the accounting identity or failed to drain");
-  SSHARD_CHECK(identical &&
-               "backpressure changed a SimResult across workers/pipeline — "
-               "determinism bug");
-  SSHARD_CHECK(commits_match &&
+  const Run backpressure = RunChecked(config);
+  CheckDrained(fds.result);
+  CheckDrained(backpressure.result);
+  SSHARD_CHECK(backpressure.result.committed == fds.result.committed &&
                "backpressure committed a different count than fds — "
                "admissions were lost or duplicated");
-  SSHARD_CHECK(peaks_below &&
-               "backpressure did not cut the leader-queue peak at "
-               "theta >= 1.0");
-  std::printf(
-      "\nall runs drained with the accounting identity intact; "
-      "backpressure bit-identical workers 1/4 x pipeline on/off; "
-      "leader-queue peak strictly below fds at every theta >= 1.0; "
-      "table written to %s\n"
-      "Reading: every cell commits exactly what fds commits — shedding "
-      "trades admission latency (avg/p99 up), never throughput. Under "
-      "real skew (theta >= 1) that buys a strictly lower leader-queue "
-      "peak; at mild skew the gate still flaps on the saturated baseline "
-      "(nonzero deferred/hot_transitions) for little peak gain, which is "
-      "the case for sizing the watermarks above the workload's normal "
-      "backlog.\n",
-      json_path.c_str());
-  return 0;
+  return {fds, backpressure};
 }
 
-int RunTraffic(const Flags& flags) {
-  const bool smoke = flags.GetBool("smoke", false);
-  const std::string trace_dir = flags.GetString("trace-dir", "tests/traces");
-  const std::uint64_t bp_high = flags.GetUint("bp-high", 48);
-  const std::uint64_t bp_low = flags.GetUint("bp-low", 12);
-  const std::string json_path = flags.GetString("json", "BENCH_traffic.json");
-  if (!flags.FinishReads()) return 2;
-  if (!core::ValidateBackpressureWatermarks(bp_low, bp_high)) return 2;
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
-                 json_path.c_str());
-    return 2;
+/// Hot-destination load shedding: fds vs backpressure (watermarks 48/12)
+/// on Zipf-skewed destinations over a 64-shard line, in sustained overload
+/// with no one-shot burst (admission control cannot see a burst that
+/// lands before any traffic exists). Under real skew (theta >= 1) the
+/// shedding must strictly cut the leader-queue peak.
+int Backpressure() {
+  core::SimConfig config =
+      DrainedConfig("fds", net::TopologyKind::kLine, 64);
+  config.rho = 0.35;
+  config.burst_round = kNoRound;
+  config.strategy = "hot_destination";
+  config.rounds = 800;
+  config.backpressure_high = 48;
+  config.backpressure_low = 12;
+  Record record("backpressure",
+                JsonRow()
+                    .Add("bench", "parallel_rounds_backpressure")
+                    .Add("strategy", config.strategy)
+                    .Add("topology", "line")
+                    .Add("shards", config.shards)
+                    .Add("rho", config.rho)
+                    .Add("rounds", config.rounds)
+                    .Add("bp_high", config.backpressure_high)
+                    .Add("bp_low", config.backpressure_low)
+                    .Add("workers_1_vs_4_pipeline_on_off_identical", true));
+  for (const double theta : {0.0, 0.5, 1.0, 1.5}) {
+    config.zipf_theta = theta;
+    const std::array<Run, 2> runs = FdsVsBackpressure(config);
+    for (const Run& run : runs) {
+      const core::SimResult& r = run.result;
+      record.Add(JsonRow()
+                     .Add("zipf_theta", theta)
+                     .Add("scheduler", run.scheduler)
+                     .Add("avg_leader_queue", r.avg_leader_queue)
+                     .Add("max_leader_queue", r.max_leader_queue)
+                     .Add("spill_peak", r.spill_peak)
+                     .Add("deferred", run.deferred)
+                     .Add("readmitted", run.readmitted)
+                     .Add("hot_transitions", run.hot_transitions)
+                     .Add("injected", r.injected)
+                     .Add("committed", r.committed)
+                     .Add("aborted", r.aborted)
+                     .Add("unresolved", r.unresolved)
+                     .Add("avg_latency", r.avg_latency)
+                     .Add("p99_latency", r.p99_latency)
+                     .Add("max_pending", r.max_pending)
+                     .Add("messages", r.messages)
+                     .Add("drained", r.drained));
+    }
+    const auto& [fds, backpressure] = runs;
+    SSHARD_CHECK((theta < 1.0 || backpressure.result.max_leader_queue <
+                                     fds.result.max_leader_queue) &&
+                 "backpressure did not cut the leader-queue peak at "
+                 "theta >= 1.0");
   }
+  return record.Write();
+}
 
-  // The tracked fixtures (tools/gen_trace.py, tests/traces/): three
-  // production shapes x two Zipf skews, replayed open-loop through fds
-  // (backpressure off) and the admission-control wrapper (on). The smoke
-  // keeps the acceptance pair only — the migrating-skew handoff is the
-  // shape admission control has to chase, so that cell carries the
-  // peak-cutting assertion.
-  struct Cell {
+/// Open-loop trace replay: the tracked fixtures (tools/gen_trace.py), three
+/// production shapes x Zipf theta {0.8, 1.2} on a 32-shard line, through
+/// fds and backpressure. Every replay must offer and inject its whole
+/// trace, and on the migrating hot spot backpressure must strictly cut the
+/// leader-queue peak.
+int Traffic(const std::string& trace_dir) {
+  Record record("traffic",
+                JsonRow()
+                    .Add("bench", "parallel_rounds_traffic")
+                    .Add("strategy", "trace_replay")
+                    .Add("topology", "line")
+                    .Add("bp_high", 48)
+                    .Add("bp_low", 12)
+                    .Add("workers_1_vs_4_pipeline_on_off_identical", true));
+  const struct {
     const char* shape;
     const char* suffix;
     double theta;
-  };
-  const std::vector<Cell> cells =
-      smoke ? std::vector<Cell>{{"migrating", "t12", 1.2}}
-            : std::vector<Cell>{{"diurnal", "t08", 0.8},
-                                {"diurnal", "t12", 1.2},
-                                {"flash", "t08", 0.8},
-                                {"flash", "t12", 1.2},
-                                {"migrating", "t08", 0.8},
-                                {"migrating", "t12", 1.2}};
-
-  std::printf(
-      "parallel_rounds traffic: open-loop trace replay, fds vs backpressure "
-      "(high=%llu low=%llu), fixtures from %s\n\n",
-      static_cast<unsigned long long>(bp_high),
-      static_cast<unsigned long long>(bp_low), trace_dir.c_str());
-  std::printf("%10s %5s %13s | %8s %8s | %10s %10s %9s | %10s %8s\n",
-              "shape", "zipf", "scheduler", "offered", "injected", "ldrq_avg",
-              "ldrq_peak", "spill_pk", "committed", "drained");
-
-  struct Row {
-    Cell cell;
-    const char* scheduler = "";
-    BackpressureRun run;
-  };
-  std::vector<Row> rows;
-  std::string migrating_trace;
-  Round migrating_rounds = 0;
-  bool all_ok = true;
-  bool commits_match = true;
-  bool peaks_below = true;
-  for (const Cell& cell : cells) {
-    const std::string path = trace_dir + "/" + cell.shape + "_" +
-                             cell.suffix + ".trace";
+  } cells[] = {{"diurnal", "t08", 0.8},   {"diurnal", "t12", 1.2},
+               {"flash", "t08", 0.8},     {"flash", "t12", 1.2},
+               {"migrating", "t08", 0.8}, {"migrating", "t12", 1.2}};
+  for (const auto& cell : cells) {
+    const std::string path =
+        trace_dir + "/" + cell.shape + "_" + cell.suffix + ".trace";
     traffic::Trace trace;
     std::string error;
     if (!traffic::LoadTraceFile(path, &trace, &error)) {
       std::fprintf(stderr, "invalid trace: %s (file \"%s\")\n", error.c_str(),
                    path.c_str());
-      std::fclose(json);
       return 2;
     }
-    core::SimConfig base;
-    base.scheduler = "fds";
-    base.topology = net::TopologyKind::kLine;
-    base.hierarchy = bench::HierarchyFor(base.topology);
-    base.shards = trace.shards;
-    base.accounts = trace.accounts;
-    base.account_assignment = core::AccountAssignment::kRoundRobin;
-    base.strategy = "trace_replay";
-    base.trace = path;
-    base.rounds =
-        trace.records.empty() ? 1 : trace.records.back().round + 1;
-    base.drain_cap = 200000;
-    base.seed = 42;
-    base.backpressure_high = bp_high;
-    base.backpressure_low = bp_low;
-
-    BackpressureRun fds_run, bp_run;
-    for (const char* scheduler : {"fds", "backpressure"}) {
-      core::SimConfig config = base;
-      config.scheduler = scheduler;
-      const BackpressureRun run = RunHotDestination(config, 1);
+    core::SimConfig config =
+        DrainedConfig("fds", net::TopologyKind::kLine, trace.shards);
+    config.accounts = trace.accounts;
+    config.strategy = "trace_replay";
+    config.trace = path;
+    config.rounds = trace.records.empty() ? 1 : trace.records.back().round + 1;
+    config.backpressure_high = 48;
+    config.backpressure_low = 12;
+    const std::array<Run, 2> runs = FdsVsBackpressure(config);
+    for (const Run& run : runs) {
       const core::SimResult& r = run.result;
-      const bool identity =
-          r.injected == r.committed + r.aborted + r.unresolved;
-      // Open-loop invariant: the whole trace was offered and, once the
-      // drain phase let the schedule finish, every offer was injected.
-      const bool replayed_all =
-          r.offered_txns == trace.records.size() &&
-          r.injected_txns == r.offered_txns && r.injected == r.offered_txns;
-      all_ok = all_ok && identity && replayed_all && r.drained &&
-               r.unresolved == 0;
-      std::printf(
-          "%10s %5.2f %13s | %8llu %8llu | %10.2f %10.1f %9llu | %10llu "
-          "%8s\n",
-          cell.shape, cell.theta, scheduler,
-          static_cast<unsigned long long>(r.offered_txns),
-          static_cast<unsigned long long>(r.injected_txns),
-          r.avg_leader_queue, r.max_leader_queue,
-          static_cast<unsigned long long>(r.spill_peak),
-          static_cast<unsigned long long>(r.committed),
-          r.drained ? "yes" : "NO");
-      rows.push_back({cell, scheduler, run});
-      if (std::string(scheduler) == "fds") {
-        fds_run = run;
-      } else {
-        bp_run = run;
-      }
+      record.Add(JsonRow()
+                     .Add("shape", cell.shape)
+                     .Add("zipf_theta", cell.theta)
+                     .Add("scheduler", run.scheduler)
+                     .Add("offered", r.offered_txns)
+                     .Add("injected", r.injected_txns)
+                     .Add("inject_lag_peak", r.inject_lag_peak)
+                     .Add("avg_leader_queue", r.avg_leader_queue)
+                     .Add("max_leader_queue", r.max_leader_queue)
+                     .Add("spill_peak", r.spill_peak)
+                     .Add("deferred", run.deferred)
+                     .Add("committed", r.committed)
+                     .Add("aborted", r.aborted)
+                     .Add("avg_latency", r.avg_latency)
+                     .Add("p99_latency", r.p99_latency)
+                     .Add("drained", r.drained));
+      // Arrivals continue through the drain phase until the schedule is
+      // exhausted, so every record is offered and every offer injected.
+      SSHARD_CHECK(r.offered_txns == trace.records.size() &&
+                   r.injected_txns == r.offered_txns &&
+                   r.injected == r.offered_txns &&
+                   "a replay did not inject its whole trace");
     }
-    // Same acceptance shape as --backpressure: shedding defers, it never
-    // drops — equal commits — and on the migrating handoff it must
-    // strictly cut the hot leader's queue peak.
-    commits_match =
-        commits_match && bp_run.result.committed == fds_run.result.committed;
-    if (std::string(cell.shape) == "migrating") {
-      peaks_below = peaks_below && bp_run.result.max_leader_queue <
-                                       fds_run.result.max_leader_queue;
-      migrating_trace = path;
-      migrating_rounds = base.rounds;
-    }
+    const auto& [fds, backpressure] = runs;
+    SSHARD_CHECK((std::string(cell.shape) != "migrating" ||
+                  backpressure.result.max_leader_queue <
+                      fds.result.max_leader_queue) &&
+                 "backpressure did not cut the leader-queue peak on the "
+                 "migrating-skew trace");
   }
-
-  // Determinism spot-check on the migrating replay: the open-loop injector
-  // + trace schedule must be bit-identical across workers 1/4 x pipeline
-  // on/off, exactly like the closed loop.
-  core::SimConfig config;
-  config.scheduler = "backpressure";
-  config.topology = net::TopologyKind::kLine;
-  config.hierarchy = bench::HierarchyFor(config.topology);
-  config.shards = 32;
-  config.accounts = 32;
-  config.account_assignment = core::AccountAssignment::kRoundRobin;
-  config.strategy = "trace_replay";
-  config.trace = migrating_trace;
-  config.rounds = migrating_rounds;
-  config.drain_cap = 200000;
-  config.seed = 42;
-  config.backpressure_high = bp_high;
-  config.backpressure_low = bp_low;
-  const BackpressureRun serial = RunHotDestination(config, 1);
-  const bool identical =
-      Identical(serial.result, RunHotDestination(config, 4, true).result) &&
-      Identical(serial.result, RunHotDestination(config, 4, false).result);
-
-  std::fprintf(json,
-               "{\n  \"bench\": \"parallel_rounds_traffic\",\n"
-               "  \"strategy\": \"trace_replay\",\n"
-               "  \"topology\": \"line\",\n"
-               "  \"bp_high\": %llu,\n  \"bp_low\": %llu,\n"
-               "  \"workers_1_vs_4_pipeline_on_off_identical\": %s,\n"
-               "  \"rows\": [\n",
-               static_cast<unsigned long long>(bp_high),
-               static_cast<unsigned long long>(bp_low),
-               identical ? "true" : "false");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    const core::SimResult& r = row.run.result;
-    std::fprintf(
-        json,
-        "    {\"shape\": \"%s\", \"zipf_theta\": %.2f, "
-        "\"scheduler\": \"%s\",\n"
-        "     \"offered\": %llu, \"injected\": %llu, "
-        "\"inject_lag_peak\": %llu,\n"
-        "     \"avg_leader_queue\": %.6f, \"max_leader_queue\": %.6f,\n"
-        "     \"spill_peak\": %llu, \"deferred\": %llu,\n"
-        "     \"committed\": %llu, \"aborted\": %llu,\n"
-        "     \"avg_latency\": %.6f, \"p99_latency\": %.6f,\n"
-        "     \"drained\": %s}%s\n",
-        row.cell.shape, row.cell.theta, row.scheduler,
-        static_cast<unsigned long long>(r.offered_txns),
-        static_cast<unsigned long long>(r.injected_txns),
-        static_cast<unsigned long long>(r.inject_lag_peak),
-        r.avg_leader_queue, r.max_leader_queue,
-        static_cast<unsigned long long>(r.spill_peak),
-        static_cast<unsigned long long>(row.run.deferred),
-        static_cast<unsigned long long>(r.committed),
-        static_cast<unsigned long long>(r.aborted), r.avg_latency,
-        r.p99_latency, r.drained ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-
-  SSHARD_CHECK(all_ok &&
-               "a replay broke the accounting identity, failed to drain, or "
-               "did not inject the whole trace");
-  SSHARD_CHECK(commits_match &&
-               "backpressure committed a different count than fds on the "
-               "same trace — admissions were lost or duplicated");
-  SSHARD_CHECK(peaks_below &&
-               "backpressure did not cut the leader-queue peak on the "
-               "migrating-skew trace");
-  SSHARD_CHECK(identical &&
-               "open-loop trace replay changed a SimResult across "
-               "workers/pipeline — determinism bug");
-  std::printf(
-      "\nall replays drained, injected their whole trace, and kept the "
-      "accounting identity; backpressure commits exactly fds's counts and "
-      "cuts the migrating-skew leader-queue peak; open-loop replay "
-      "bit-identical workers 1/4 x pipeline on/off; table written to %s\n"
-      "Reading: the trace is the arrival schedule — offered == injected on "
-      "every row because arrivals continue through the drain phase until "
-      "the schedule is exhausted, so shedding shows up as admission "
-      "latency and a lower queue peak, never as lost transactions.\n",
-      json_path.c_str());
-  return 0;
+  return record.Write();
 }
 
-int RunCheck(const Flags& flags) {
-  const auto rounds = static_cast<Round>(flags.GetUint("rounds", 300));
-  const std::uint64_t seed = flags.GetUint("seed", 42);
-  if (!flags.FinishReads()) return 2;
-
-  // Small configs, every scheduler: workers 1 (no pool) vs 4 with
-  // the pipelined epilogue on and off must agree bit-for-bit. The sharded
-  // and multi-root modes run with non-trivial fan-outs (their knob = 1
-  // cases are bit-identical to "bds"/"fds" by the goldens in
-  // tests/leader_sharding_test.cc, so checking them here would be
-  // redundant).
-  const struct {
-    const char* scheduler;
-    std::uint32_t color_leaders;
-    std::uint32_t top_roots;
-  } cells[] = {{"bds", 1, 1},         {"bds_sharded", 4, 1},
-               {"fds", 1, 1},         {"fds_multiroot", 1, 3},
-               {"direct", 1, 1},      {"backpressure", 1, 1}};
-  for (const auto& cell : cells) {
-    core::SimConfig config;
-    config.scheduler = cell.scheduler;
-    config.bds_color_leaders = cell.color_leaders;
-    config.fds_top_roots = cell.top_roots;
-    config.shards = 32;
-    config.accounts = 32;
-    config.k = 8;
-    config.rho = 0.2;
-    config.burstiness = 300;
-    config.rounds = rounds;
-    config.seed = seed;
-    config.topology = config.scheduler.rfind("bds", 0) == 0
-                          ? net::TopologyKind::kUniform
-                          : net::TopologyKind::kLine;
-    config.hierarchy = bench::HierarchyFor(config.topology);
-
-    const TimedRun serial = RunOnce(config, 1);
-    const TimedRun pipelined = RunOnce(config, 4, /*pipeline=*/true);
-    const TimedRun unpipelined = RunOnce(config, 4, /*pipeline=*/false);
-    const bool identical = Identical(serial.result, pipelined.result) &&
-                           Identical(serial.result, unpipelined.result);
-    std::printf("check %-13s: injected=%llu committed=%llu %s\n",
-                cell.scheduler,
-                static_cast<unsigned long long>(serial.result.injected),
-                static_cast<unsigned long long>(serial.result.committed),
-                identical ? "identical" : "MISMATCH");
-    SSHARD_CHECK(identical &&
-                 "pipeline/worker_threads changed a SimResult — determinism "
-                 "bug");
-  }
-
-  // WAL cells: with durability on (and a checkpoint cadence) but no fault
-  // plan, the run must stay bit-identical across workers/pipeline — the
-  // per-partition persist and serial durable callbacks included — and its
-  // protocol outcome must not move a bit relative to the WAL-off run of
-  // the same config (the WAL is write-only until a crash).
-  for (const char* scheduler : {"bds", "fds", "direct"}) {
-    core::SimConfig config;
-    config.scheduler = scheduler;
-    config.shards = 32;
-    config.accounts = 32;
-    config.k = 8;
-    config.rho = 0.2;
-    config.burstiness = 300;
-    config.rounds = rounds;
-    config.seed = seed;
-    config.topology = config.scheduler.rfind("bds", 0) == 0
-                          ? net::TopologyKind::kUniform
-                          : net::TopologyKind::kLine;
-    config.hierarchy = bench::HierarchyFor(config.topology);
-
-    const TimedRun off = RunOnce(config, 1);
-    config.wal = true;
-    config.checkpoint_interval = 50;
-    const TimedRun serial = RunOnce(config, 1);
-    const TimedRun pipelined = RunOnce(config, 4, /*pipeline=*/true);
-    const TimedRun unpipelined = RunOnce(config, 4, /*pipeline=*/false);
-    const bool identical = Identical(serial.result, pipelined.result) &&
-                           Identical(serial.result, unpipelined.result);
-    const bool transparent = IdenticalProtocol(off.result, serial.result);
-    std::printf("check %-13s: wal_bytes=%llu checkpoints=%llu %s, %s\n",
-                scheduler,
-                static_cast<unsigned long long>(serial.result.wal_bytes),
-                static_cast<unsigned long long>(serial.result.checkpoint_count),
-                identical ? "identical" : "MISMATCH",
-                transparent ? "wal-transparent" : "WAL PERTURBED PROTOCOL");
-    SSHARD_CHECK(identical &&
-                 "pipeline/worker_threads changed a WAL-enabled SimResult — "
-                 "determinism bug");
-    SSHARD_CHECK(transparent &&
-                 "enabling the WAL changed a protocol outcome — durability "
-                 "must be write-only without faults");
-    SSHARD_CHECK(serial.result.wal_bytes > 0 &&
-                 serial.result.checkpoint_count > 0 &&
-                 "WAL cell persisted nothing — the check is vacuous");
-  }
-  std::printf("determinism check passed (6 scheduler configurations plus 3 "
-              "WAL cells, workers 1 vs 4, pipeline on/off)\n");
-  return 0;
-}
-
-/// Crash/recovery (churn) record: BDS/uniform and FDS/line at s = 64 with
-/// the WAL and a checkpoint cadence on, a two-event fault plan (crash a
-/// shard mid-epoch, then another later) against the identical fault-free
-/// run. The engine itself SSHARD_CHECKs the restored shard image
-/// bit-identical to the pre-crash snapshot and re-verifies the recovered
-/// chain; this harness asserts the observable contract on top:
-///   - both runs drain with the accounting identity intact;
-///   - the churn run commits exactly the fault-free counts (stall-the-world
-///     freezes the protocol clock, so faults shift wall rounds only);
-///   - rounds_executed(churn) == rounds_executed(fault-free) +
-///     recovery_rounds, and the replay actually moved bytes;
-///   - the churn run is bit-identical across workers 1/4 x pipeline on/off.
-int RunFaults(const Flags& flags) {
-  const bool smoke = flags.GetBool("smoke", false);
-  const auto shards =
-      static_cast<ShardId>(flags.GetUint("shards", 64));
-  // FDS's hierarchical commit latency at s = 64 on the line is ~264
-  // rounds — crashes scheduled earlier find an empty replay window (the
-  // crashed shard has committed nothing since the last checkpoint), which
-  // the vacuity check below rejects. Crash rounds sit past the latency
-  // knee for both schedulers.
-  const auto rounds =
-      static_cast<Round>(flags.GetUint("rounds", smoke ? 400 : 600));
-  const double rho = flags.GetDouble("rho", 0.2);
-  const auto checkpoint_interval =
-      static_cast<Round>(flags.GetUint("checkpoint-interval", 100));
-  const std::uint64_t seed = flags.GetUint("seed", 42);
-  // `--faults` selects the mode, so the schedule itself rides on `--plan`.
-  const std::string faults =
-      flags.GetString("plan", smoke ? "5@350+12,23@390+18"
-                                    : "5@350+12,23@520+18");
-  const std::string json_path =
-      flags.GetString("json", "BENCH_recovery.json");
-  if (!flags.FinishReads()) return 2;
-  if (!core::ValidateFaults(faults, /*wal_enabled=*/true, shards, rounds)) {
-    return 2;
-  }
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
-                 json_path.c_str());
-    return 2;
-  }
-
-  std::printf(
-      "parallel_rounds faults: crash/recovery churn (faults=%s, ckpt=%llu) "
-      "vs fault-free, s=%u, rho=%.2f, %llu rounds + drain\n\n",
-      faults.c_str(), static_cast<unsigned long long>(checkpoint_interval),
-      shards, rho, static_cast<unsigned long long>(rounds));
-  std::printf("%6s %8s | %10s %10s %8s | %9s %9s %10s %9s\n", "sched",
-              "mode", "committed", "rounds", "drained", "wal_kb",
-              "ckpts", "replay_b", "rec_rnds");
-
-  struct Row {
-    const char* scheduler = "";
-    const char* mode = "";
-    core::SimResult result;
-  };
-  std::vector<Row> rows;
-  bool all_ok = true;
+/// Crash/recovery churn: bds (uniform) and fds (line) at s = 64 with the
+/// WAL and a checkpoint every 100 rounds, each run fault-free and under a
+/// two-event fault plan. The engine itself aborts unless a restored shard
+/// is byte-identical to its pre-crash snapshot; on top of that, the churn
+/// run must commit exactly the fault-free counts (stall-the-world freezes
+/// the protocol clock, so a fault costs wall rounds only), replay a
+/// non-empty window, and account every wall round. The crash rounds sit
+/// past both schedulers' commit-latency knee (~264 rounds for FDS here):
+/// an earlier crash finds nothing to replay.
+int Faults() {
+  constexpr ShardId kShards = 64;
+  constexpr double kRho = 0.2;
+  constexpr Round kRounds = 600;
+  constexpr Round kCheckpointInterval = 100;
+  constexpr const char* kPlan = "5@350+12,23@520+18";
+  Record record("recovery",
+                JsonRow()
+                    .Add("bench", "parallel_rounds_faults")
+                    .Add("shards", kShards)
+                    .Add("rho", kRho)
+                    .Add("rounds", kRounds)
+                    .Add("checkpoint_interval", kCheckpointInterval)
+                    .Add("faults", kPlan));
   const std::pair<net::TopologyKind, const char*> cells[] = {
       {net::TopologyKind::kUniform, "bds"}, {net::TopologyKind::kLine, "fds"}};
   for (const auto& [topology, scheduler] : cells) {
-    core::SimConfig base;
-    base.scheduler = scheduler;
-    base.topology = topology;
-    base.hierarchy = bench::HierarchyFor(topology);
-    base.shards = shards;
-    base.accounts = shards;
-    base.account_assignment = core::AccountAssignment::kRoundRobin;
-    base.k = 8;
-    base.rho = rho;
-    base.burstiness = 300;
-    base.rounds = rounds;
-    base.drain_cap = 200000;
-    base.seed = seed;
-    base.wal = true;
-    base.checkpoint_interval = checkpoint_interval;
-
-    const TimedRun clean = RunOnce(base, 1);
-    core::SimConfig churn = base;
-    churn.faults = faults;
-    const TimedRun faulted = RunOnce(churn, 1);
-
-    for (const auto& [mode, run] :
-         {std::pair<const char*, const TimedRun&>{"clean", clean},
-          std::pair<const char*, const TimedRun&>{"churn", faulted}}) {
-      const core::SimResult& r = run.result;
-      std::printf("%6s %8s | %10llu %10llu %8s | %9.1f %9llu %10llu %9llu\n",
-                  scheduler, mode,
-                  static_cast<unsigned long long>(r.committed),
-                  static_cast<unsigned long long>(r.rounds_executed),
-                  r.drained ? "yes" : "NO",
-                  static_cast<double>(r.wal_bytes) / 1024.0,
-                  static_cast<unsigned long long>(r.checkpoint_count),
-                  static_cast<unsigned long long>(r.replay_bytes),
-                  static_cast<unsigned long long>(r.recovery_rounds));
-      all_ok = all_ok && r.drained && r.unresolved == 0 &&
-               r.injected == r.committed + r.aborted;
-      rows.push_back({scheduler, mode, r});
-    }
-
-    const core::SimResult& c = clean.result;
-    const core::SimResult& f = faulted.result;
-    SSHARD_CHECK(f.injected == c.injected && f.committed == c.committed &&
-                 f.aborted == c.aborted &&
+    core::SimConfig config = DrainedConfig(scheduler, topology, kShards);
+    config.rho = kRho;
+    config.burstiness = 300;
+    config.rounds = kRounds;
+    config.wal = true;
+    config.checkpoint_interval = kCheckpointInterval;
+    const auto add_row = [&](const char* mode, const core::SimResult& r) {
+      record.Add(JsonRow()
+                     .Add("scheduler", scheduler)
+                     .Add("mode", mode)
+                     .Add("injected", r.injected)
+                     .Add("committed", r.committed)
+                     .Add("aborted", r.aborted)
+                     .Add("rounds_executed", r.rounds_executed)
+                     .Add("recovery_rounds", r.recovery_rounds)
+                     .Add("wal_bytes", r.wal_bytes)
+                     .Add("checkpoint_count", r.checkpoint_count)
+                     .Add("replay_bytes", r.replay_bytes)
+                     .Add("avg_latency", r.avg_latency)
+                     .Add("p99_latency", r.p99_latency)
+                     .Add("drained", r.drained));
+      CheckDrained(r);
+    };
+    const core::SimResult clean = RunChecked(config).result;
+    add_row("clean", clean);
+    config.faults = kPlan;
+    const core::SimResult churn = RunChecked(config).result;
+    add_row("churn", churn);
+    SSHARD_CHECK(churn.injected == clean.injected &&
+                 churn.committed == clean.committed &&
+                 churn.aborted == clean.aborted &&
                  "churn changed a protocol count — recovery lost or "
                  "duplicated commits");
-    SSHARD_CHECK(f.recovery_rounds > 0 && f.replay_bytes > 0 &&
+    SSHARD_CHECK(churn.recovery_rounds > 0 && churn.replay_bytes > 0 &&
                  "the fault plan never fired — the churn cell is vacuous");
-    SSHARD_CHECK(f.rounds_executed == c.rounds_executed + f.recovery_rounds &&
-                 "wall-round accounting broke: churn rounds must be the "
-                 "fault-free rounds plus the recovery stalls");
-
-    // The churn run itself must stay bit-identical across workers and
-    // epilogue modes: crash, replay and catch-up are driven from the
-    // serial section of the round loop, so the pool must not perturb them.
-    const bool identical =
-        Identical(faulted.result, RunOnce(churn, 4, true).result) &&
-        Identical(faulted.result, RunOnce(churn, 4, false).result);
-    SSHARD_CHECK(identical &&
-                 "pipeline/worker_threads changed a churn SimResult — "
-                 "determinism bug");
+    SSHARD_CHECK(
+        churn.rounds_executed ==
+            clean.rounds_executed + churn.recovery_rounds &&
+        "wall-round accounting broke: churn rounds must be the fault-free "
+        "rounds plus the recovery stalls");
   }
-
-  std::fprintf(json,
-               "{\n  \"bench\": \"parallel_rounds_faults\",\n"
-               "  \"shards\": %u,\n  \"rho\": %.4f,\n  \"rounds\": %llu,\n"
-               "  \"checkpoint_interval\": %llu,\n  \"faults\": \"%s\",\n"
-               "  \"rows\": [\n",
-               shards, rho, static_cast<unsigned long long>(rounds),
-               static_cast<unsigned long long>(checkpoint_interval),
-               faults.c_str());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    const core::SimResult& r = row.result;
-    std::fprintf(
-        json,
-        "    {\"scheduler\": \"%s\", \"mode\": \"%s\",\n"
-        "     \"injected\": %llu, \"committed\": %llu, \"aborted\": %llu,\n"
-        "     \"rounds_executed\": %llu, \"recovery_rounds\": %llu,\n"
-        "     \"wal_bytes\": %llu, \"checkpoint_count\": %llu,\n"
-        "     \"replay_bytes\": %llu, \"avg_latency\": %.6f,\n"
-        "     \"p99_latency\": %.6f, \"drained\": %s}%s\n",
-        row.scheduler, row.mode,
-        static_cast<unsigned long long>(r.injected),
-        static_cast<unsigned long long>(r.committed),
-        static_cast<unsigned long long>(r.aborted),
-        static_cast<unsigned long long>(r.rounds_executed),
-        static_cast<unsigned long long>(r.recovery_rounds),
-        static_cast<unsigned long long>(r.wal_bytes),
-        static_cast<unsigned long long>(r.checkpoint_count),
-        static_cast<unsigned long long>(r.replay_bytes), r.avg_latency,
-        r.p99_latency, r.drained ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-
-  SSHARD_CHECK(all_ok &&
-               "a faults run broke the accounting identity or failed to "
-               "drain");
-  std::printf(
-      "\nboth schedulers recovered: churn commits exactly the fault-free "
-      "counts, wall rounds = fault-free + recovery stalls, bit-identical "
-      "across workers 1/4 x pipeline on/off; table written to %s\n"
-      "Reading: the engine froze the protocol clock through each outage "
-      "(stall-the-world), replayed the crashed shard from checkpoint + WAL "
-      "and checked the restored image bit-identical to the pre-crash "
-      "snapshot before rejoining — so churn costs wall rounds, never "
-      "commits.\n",
-      json_path.c_str());
-  return 0;
+  return record.Write();
 }
 
-/// Drained diameter_span head-to-head: classic single-top "fds" vs the
-/// multi-root "fds_multiroot" on the same seed/workload, small enough that
-/// both drain fully. With abort_probability = 0 everything injected
-/// commits, so equal committed counts prove the multi-root redirect loses
-/// and duplicates nothing; the root-leader imbalance bar (< 3x the mean)
-/// is the same acceptance criterion the s = 1024 grid rows enforce,
-/// checked here at ctest-smoke cost.
-int RunLeaderShare(const Flags& flags) {
-  const bool smoke = flags.GetBool("smoke", false);
-  const auto shards =
-      static_cast<ShardId>(flags.GetUint("shards", smoke ? 32 : 64));
-  const auto rounds =
-      static_cast<Round>(flags.GetUint("rounds", smoke ? 40 : 120));
-  const double rho = flags.GetDouble("rho", 0.10);
-  const auto roots =
-      static_cast<std::uint32_t>(flags.GetUint("roots", 4));
-  const std::uint64_t seed = flags.GetUint("seed", 42);
-  if (!flags.FinishReads()) return 2;
-  // Same contract as simulate_cli: a bad root count is an input error
-  // (exit 2), never an abort inside the hierarchy builder.
-  if (!core::ValidateFdsTopRoots(roots)) return 2;
+/// max / mean over the top-root leaders' inbound counts (1.0 is perfectly
+/// even; 0 without root traffic).
+double RootLeaderImbalance(const Run& run) {
+  const std::vector<std::uint64_t>& in = run.root_leader_in;
+  const std::uint64_t total =
+      std::accumulate(in.begin(), in.end(), std::uint64_t{0});
+  if (total == 0) return 0;
+  const double mean =
+      static_cast<double>(total) / static_cast<double>(in.size());
+  return static_cast<double>(*std::max_element(in.begin(), in.end())) / mean;
+}
 
-  core::SimConfig base;
-  base.topology = net::TopologyKind::kLine;
-  base.hierarchy = bench::HierarchyFor(base.topology);
-  base.shards = shards;
-  base.accounts = shards;
-  base.account_assignment = core::AccountAssignment::kRoundRobin;
-  base.k = 4;
-  base.rho = rho;
-  base.burst_round = kNoRound;  // steady injection; the drain must finish
-  base.strategy = "diameter_span";
-  base.abort_probability = 0;  // drained + no aborts => committed == injected
-  base.rounds = rounds;
-  base.drain_cap = 200000;
-  base.seed = seed;
-
-  std::printf(
-      "parallel_rounds leadershare: fds (single top root) vs fds_multiroot "
-      "(%u roots) on diameter_span, s=%u, rho=%.2f, %llu rounds + drain\n\n",
-      roots, shards, rho, static_cast<unsigned long long>(rounds));
-  std::printf("%14s %6s | %9s %10s %8s | %6s %10s %10s\n", "scheduler",
-              "roots", "injected", "committed", "drained", "ldrs",
-              "busiest%", "imbalance");
-
-  bool all_ok = true;
-  std::uint64_t committed[2] = {0, 0};
-  double imbalance[2] = {0, 0};
-  TimedRun runs[2];
-  const struct {
-    const char* scheduler;
-    std::uint32_t top_roots;
-  } cells[] = {{"fds", 1}, {"fds_multiroot", 0}};
-  for (std::size_t i = 0; i < 2; ++i) {
-    core::SimConfig config = base;
-    config.scheduler = cells[i].scheduler;
-    config.fds_top_roots = i == 0 ? 1 : roots;
-    runs[i] = RunOnce(config, 1);
-    const core::SimResult& r = runs[i].result;
-    all_ok = all_ok && r.drained && r.unresolved == 0 &&
-             r.injected == r.committed && r.aborted == 0;
-    committed[i] = r.committed;
-    imbalance[i] = RootLeaderImbalance(runs[i]);
-    std::uint64_t busiest = 0;
-    for (const std::uint64_t in : runs[i].root_leader_in) {
-      busiest = std::max(busiest, in);
-    }
-    std::printf("%14s %6u | %9llu %10llu %8s | %6zu %9.2f%% %9.2fx\n",
-                cells[i].scheduler, config.fds_top_roots,
-                static_cast<unsigned long long>(r.injected),
-                static_cast<unsigned long long>(r.committed),
-                r.drained ? "yes" : "NO", runs[i].root_leader_in.size(),
-                r.messages > 0 ? 100.0 * static_cast<double>(busiest) /
-                                     static_cast<double>(r.messages)
-                               : 0.0,
-                imbalance[i]);
-
-    // Bit-identity across workers 1/4 x pipeline on/off for both modes:
-    // the leader-sharding fix must not loosen the determinism contract.
-    const bool identical =
-        Identical(runs[i].result, RunOnce(config, 4, true).result) &&
-        Identical(runs[i].result, RunOnce(config, 4, false).result);
-    SSHARD_CHECK(identical &&
-                 "pipeline/worker_threads changed a SimResult — determinism "
-                 "bug");
+/// The single-leader degeneration, drained: fds (one top root) vs
+/// fds_multiroot (4 roots) on diameter_span over a 64-shard line. With one
+/// root, its leader coordinates every diameter-spanning transaction; the
+/// multi-root hierarchy hashes them across the root leaders, and the
+/// busiest must stay below 3x the mean root-leader inbound count. With no
+/// aborts everything injected commits, so equal counts show the redirect
+/// loses and duplicates nothing.
+int LeaderShare() {
+  core::SimConfig config =
+      DrainedConfig("fds", net::TopologyKind::kLine, 64);
+  config.k = 4;
+  config.rho = 0.1;
+  config.burst_round = kNoRound;
+  config.strategy = "diameter_span";
+  config.abort_probability = 0;
+  config.rounds = 120;
+  Record record("leadershare",
+                JsonRow()
+                    .Add("bench", "parallel_rounds_leadershare")
+                    .Add("strategy", config.strategy)
+                    .Add("topology", "line")
+                    .Add("shards", config.shards)
+                    .Add("k", config.k)
+                    .Add("rho", config.rho)
+                    .Add("rounds", config.rounds)
+                    .Add("workers_1_vs_4_pipeline_on_off_identical", true));
+  std::array<Run, 2> runs;
+  const std::pair<const char*, std::uint32_t> cells[] = {{"fds", 1},
+                                                         {"fds_multiroot", 4}};
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    config.scheduler = cells[i].first;
+    config.fds_top_roots = cells[i].second;
+    runs[i] = RunChecked(config);
+    const Run& run = runs[i];
+    const core::SimResult& r = run.result;
+    const std::vector<std::uint64_t>& in = run.root_leader_in;
+    record.Add(JsonRow()
+                   .Add("scheduler", run.scheduler)
+                   .Add("top_roots", config.fds_top_roots)
+                   .Add("injected", r.injected)
+                   .Add("committed", r.committed)
+                   .Add("aborted", r.aborted)
+                   .Add("drained", r.drained)
+                   .Add("messages", r.messages)
+                   .Add("root_leaders", in.size())
+                   .Add("busiest_root_leader_share",
+                        static_cast<double>(
+                            *std::max_element(in.begin(), in.end())) /
+                            static_cast<double>(r.messages))
+                   .Add("root_leader_imbalance", RootLeaderImbalance(run)));
+    CheckDrained(r);
+    SSHARD_CHECK(r.aborted == 0 && "a leadershare run aborted a transaction");
   }
-
-  SSHARD_CHECK(all_ok &&
-               "a leadershare run failed to drain everything it injected");
-  SSHARD_CHECK(committed[0] == committed[1] &&
+  SSHARD_CHECK(runs[0].result.committed == runs[1].result.committed &&
                "multi-root hierarchy changed the committed count — the "
                "redirect lost or duplicated admissions");
-  SSHARD_CHECK(imbalance[1] < 3.0 &&
+  SSHARD_CHECK(RootLeaderImbalance(runs[1]) < 3.0 &&
                "busiest top-root leader above 3x the mean root-leader "
                "share — the multi-root spread regressed");
-  std::printf(
-      "\nboth modes drained and committed %llu identically; multi-root "
-      "busiest root leader at %.2fx the mean (bar: < 3x); bit-identical "
-      "across workers 1/4 x pipeline on/off\n",
-      static_cast<unsigned long long>(committed[0]), imbalance[1]);
-  return 0;
+  return record.Write();
 }
 
-int RunSingle(const Flags& flags) {
-  core::SimConfig config;
-  config.scheduler = flags.GetString("scheduler", "fds");
-  config.shards = static_cast<ShardId>(flags.GetUint("shards", 256));
-  config.accounts = config.shards;
-  config.k = static_cast<std::uint32_t>(flags.GetUint("k", 8));
-  const std::string default_topology =
-      config.scheduler == "bds" ? "uniform" : "line";
-  const std::string topology_name =
-      flags.GetString("topology", default_topology);
-  const auto topology = net::TryParseTopology(topology_name);
-  if (!topology) {
-    std::fprintf(stderr, "unknown --topology=%s\n", topology_name.c_str());
-    return 2;
-  }
-  config.topology = *topology;
-  config.hierarchy = bench::HierarchyFor(config.topology);
-  config.rho = flags.GetDouble("rho", 0.3);
-  config.burstiness = flags.GetDouble("b", 3000);
-  config.rounds = static_cast<Round>(flags.GetUint("rounds", 1500));
-  config.seed = flags.GetUint("seed", 42);
-  const auto max_workers = static_cast<std::uint32_t>(
-      std::max<std::uint64_t>(1, flags.GetUint("workers", 8)));
-  if (!flags.FinishReads()) return 2;
-
-  std::printf("parallel_rounds: %s\n", config.Describe().c_str());
-  std::printf("%8s %12s %10s %10s %12s\n", "workers", "seconds", "speedup",
-              "committed", "identical");
-
-  const TimedRun serial = RunOnce(config, 1);
-  std::printf("%8u %12.3f %10s %10llu %12s\n", 1u, serial.seconds, "1.00x",
-              static_cast<unsigned long long>(serial.result.committed),
-              "baseline");
-
-  bool all_identical = true;
-  double best_speedup = 1.0;
-  for (std::uint32_t workers = 2; workers <= max_workers; workers *= 2) {
-    const TimedRun timed = RunOnce(config, workers);
-    const bool identical = Identical(serial.result, timed.result);
-    all_identical = all_identical && identical;
-    const double speedup = serial.seconds / timed.seconds;
-    if (speedup > best_speedup) best_speedup = speedup;
-    std::printf("%8u %12.3f %9.2fx %10llu %12s\n", workers, timed.seconds,
-                speedup,
-                static_cast<unsigned long long>(timed.result.committed),
-                identical ? "yes" : "NO");
-  }
-
-  PrintRingMemory(serial);
-  std::printf("busiest shard handles %.2f%% of inbound / %.2f%% of outbound "
-              "messages\n",
-              100.0 * serial.leader_in_share, 100.0 * serial.leader_out_share);
-
-  SSHARD_CHECK(all_identical &&
-               "worker_threads changed the SimResult — determinism bug");
-  std::printf("\nbest speedup %.2fx at s=%u (identical results across all "
-              "worker counts)\n",
-              best_speedup, config.shards);
-  return 0;
-}
+constexpr const char* kUsage =
+    "usage: parallel_rounds MODE... [--trace-dir=tests/traces]\n"
+    "  modes: --check --grid --backpressure --traffic --faults "
+    "--leadershare\n"
+    "  each mode writes its BENCH_<name>.json into the working directory\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Flags flags;
   if (!flags.Parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n", flags.error().c_str());
+    std::fprintf(stderr, "%s\n%s", flags.error().c_str(), kUsage);
     return 2;
   }
-  if (flags.GetBool("grid", false)) return RunGrid(flags);
-  if (flags.GetBool("phases", false)) return RunPhases(flags);
-  if (flags.GetBool("backpressure", false)) return RunBackpressure(flags);
-  if (flags.GetBool("leadershare", false)) return RunLeaderShare(flags);
-  if (flags.GetBool("faults", false)) return RunFaults(flags);
-  if (flags.GetBool("traffic", false)) return RunTraffic(flags);
-  if (flags.GetBool("check", false)) return RunCheck(flags);
-  return RunSingle(flags);
+  const std::string trace_dir = flags.GetString("trace-dir", "tests/traces");
+  const std::pair<const char*, std::function<int()>> modes[] = {
+      {"check", Check},
+      {"grid", Grid},
+      {"backpressure", Backpressure},
+      {"traffic", [&] { return Traffic(trace_dir); }},
+      {"faults", Faults},
+      {"leadershare", LeaderShare}};
+  std::vector<std::function<int()>> selected;
+  for (const auto& [name, mode] : modes) {
+    if (flags.GetBool(name, false)) selected.push_back(mode);
+  }
+  if (!flags.FinishReads()) return 2;
+  if (selected.empty() || !flags.UnreadFlags().empty()) {
+    std::fprintf(stderr, "%s", kUsage);
+    return 2;
+  }
+  for (const auto& mode : selected) {
+    if (const int code = mode(); code != 0) return code;
+  }
+  return 0;
 }

@@ -146,19 +146,21 @@ struct SimConfig {
   /// min(threads, shards) destination partitions on the pool while the
   /// next round's generation overlaps on the driving thread. Off, the
   /// flush is one partition on the driving thread. Bit-identical either
-  /// way — the switch exists for the before/after comparison in
-  /// bench/parallel_rounds --phases.
+  /// way (every bench/parallel_rounds record run asserts it). The switch
+  /// has no other use left; it stays only because benchmark/sshard_bench.cc
+  /// reads it, so deleting it needs a change that may edit benchmark/.
   bool pipeline = true;
   /// Small-grid pool overhead guard: when shards / worker_threads falls
   /// below this, the engine skips the worker pool entirely and runs the
   /// serial step path — per-round dispatch/wake overhead exceeds the
-  /// parallel win on small grids (BENCH_pipeline.json: workers=4 was 0.74x
-  /// at s=256, i.e. *slower* than serial). Results are bit-identical either
-  /// way (the decomposition is deterministic), so this is purely a
-  /// wall-clock policy. The default keeps s=1024 x 8 workers parallel and
-  /// serializes s=256 x 4. Set to 1 to force the pool on (tests and the
-  /// determinism benches do, so worker-count coverage stays real). Must be
-  /// >= 1; CLIs validate via ValidateMinShardsPerWorker and exit 2.
+  /// parallel win on small grids (a single-run measurement put workers=4
+  /// at 0.74x at s=256, i.e. *slower* than serial). Results are
+  /// bit-identical either way (the decomposition is deterministic), so
+  /// this is purely a wall-clock policy. The default keeps s=1024 x 8
+  /// workers parallel and serializes s=256 x 4. Set to 1 to force the pool
+  /// on (tests and the determinism benches do, so worker-count coverage
+  /// stays real). Must be >= 1; CLIs validate via ValidateMinShardsPerWorker
+  /// and exit 2.
   std::uint32_t min_shards_per_worker = 128;
   /// After `rounds`, keep stepping (without injection) until the scheduler
   /// drains or `drain_cap` extra rounds elapse (0 = no drain phase).

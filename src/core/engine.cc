@@ -150,9 +150,9 @@ Simulation::Simulation(const SimConfig& config)
       SchedulerRegistry::Global().Build(config.scheduler, config_, deps);
 
   // Pool-overhead guard: on small grids the per-round dispatch/wake cost
-  // exceeds the parallel win (BENCH_pipeline.json showed 0.74x at s=256
-  // with 4 workers), so below min_shards_per_worker shards per worker the
-  // pool is never built and the serial step path runs. Bit-identical
+  // exceeds the parallel win (a single-run measurement showed 0.74x at
+  // s=256 with 4 workers), so below min_shards_per_worker shards per worker
+  // the pool is never built and the serial step path runs. Bit-identical
   // results either way — this only changes wall-clock.
   if (config.worker_threads > 1 &&
       config.shards / config.worker_threads >= config.min_shards_per_worker) {

@@ -61,7 +61,8 @@
 namespace stableshard::core {
 
 /// Wall-clock decomposition of Run() as seen from the driving thread,
-/// accumulated across all executed rounds (bench/parallel_rounds --phases).
+/// accumulated across all executed rounds (benchmark/sshard_bench.cc reports
+/// it per layer).
 /// In the pipelined epilogue `generate` happens inside the `flush` window
 /// (it overlaps the pool's partition drain), so the two overlap; otherwise
 /// `flush` is SealRound plus the inline one-partition flush, and

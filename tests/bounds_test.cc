@@ -1,6 +1,7 @@
 // Parameterized checks of the paper's analytical bounds on live runs:
-// Theorem 2 (BDS queue <= 4bs, latency <= 36 b min{k, ceil(sqrt(s))}) at
-// admissible rates across (s, k, b) combinations.
+// Lemma 1 (BDS epoch length <= 18 b min{k, ceil(sqrt(s))}) and Theorem 2
+// (queue <= 4bs, latency <= 36 b min{k, ceil(sqrt(s))}) at admissible
+// rates across (s, k, b) combinations, short runs and 12,000-round ones.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -22,6 +23,7 @@ struct BoundsCase {
   double burstiness;
   double rate_fraction;  ///< fraction of the Lemma-1 admissible bound
   std::uint64_t seed;
+  Round rounds = 4000;
 };
 
 class Theorem2Bounds : public ::testing::TestWithParam<BoundsCase> {};
@@ -38,7 +40,7 @@ TEST_P(Theorem2Bounds, QueueAndLatencyWithinPaperBounds) {
   config.burstiness = param.burstiness;
   config.rho =
       param.rate_fraction * BdsStableRateBound(param.k, param.shards);
-  config.rounds = 4000;
+  config.rounds = param.rounds;
   config.drain_cap = 50000;
   config.seed = param.seed;
 
@@ -64,7 +66,15 @@ INSTANTIATE_TEST_SUITE_P(
                       BoundsCase{64, 8, 10, 1.0, 4},
                       BoundsCase{64, 2, 10, 1.0, 5},
                       BoundsCase{36, 6, 15, 0.5, 6},
-                      BoundsCase{4, 2, 8, 1.0, 7}),
+                      BoundsCase{4, 2, 8, 1.0, 7},
+                      BoundsCase{16, 4, 10, 1.0, 42, 12000},
+                      BoundsCase{16, 4, 50, 1.0, 42, 12000},
+                      BoundsCase{16, 8, 20, 1.0, 42, 12000},
+                      BoundsCase{64, 8, 10, 1.0, 42, 12000},
+                      BoundsCase{64, 8, 100, 1.0, 42, 12000},
+                      BoundsCase{64, 2, 20, 1.0, 42, 12000},
+                      BoundsCase{36, 6, 30, 1.0, 42, 12000},
+                      BoundsCase{100, 10, 10, 1.0, 42, 12000}),
     [](const ::testing::TestParamInfo<BoundsCase>& info) {
       // Built by append: gcc 12's -O3 -Wrestrict misfires on chained
       // `const char* + std::string&&` concatenation (GCC PR105329).

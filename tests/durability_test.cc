@@ -469,8 +469,20 @@ namespace {
 
 /// Durability-enabled variant of test::SmallConfig: WAL + checkpoint
 /// cadence on. Fault specs are added per test.
-core::SimConfig DurableConfig(const std::string& scheduler) {
+/// SmallConfig with the sharded-leader and multi-root modes at a
+/// non-trivial fan-out (at knob value 1 they are "bds"/"fds" bit for bit).
+/// WAL-on and WAL-off runs both start here: backpressure's hierarchy reads
+/// fds_top_roots too, so a knob set on one side only would compare two
+/// different workloads.
+core::SimConfig KnobConfig(const std::string& scheduler) {
   core::SimConfig config = test::SmallConfig(scheduler);
+  if (scheduler == "bds_sharded") config.bds_color_leaders = 4;
+  if (scheduler == "fds_multiroot") config.fds_top_roots = 3;
+  return config;
+}
+
+core::SimConfig DurableConfig(const std::string& scheduler) {
+  core::SimConfig config = KnobConfig(scheduler);
   config.wal = true;
   config.checkpoint_interval = 200;
   return config;
@@ -487,7 +499,7 @@ class ChurnGoldenTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ChurnGoldenTest, RecoveryPreservesEveryProtocolOutcome) {
   const std::string scheduler = GetParam();
-  const bool same_round = scheduler == "bds";
+  const bool same_round = scheduler.rfind("bds", 0) == 0;
 
   core::SimConfig fault_free = DurableConfig(scheduler);
   core::SimConfig churn = fault_free;
@@ -524,7 +536,7 @@ TEST_P(ChurnGoldenTest, RecoveryPreservesEveryProtocolOutcome) {
 TEST_P(ChurnGoldenTest, WalIsTransparentWithoutFaults) {
   // WAL on, no faults: the protocol outcome must not move a bit relative
   // to the WAL-off run of the same config.
-  core::SimConfig off = test::SmallConfig(GetParam());
+  core::SimConfig off = KnobConfig(GetParam());
   const core::SimResult without = test::RunWithWorkers(off, 1);
   const core::SimResult with =
       test::RunWithWorkers(DurableConfig(GetParam()), 1);
@@ -550,8 +562,13 @@ TEST_P(ChurnGoldenTest, ChurnIsBitIdenticalAcrossWorkersAndPipeline) {
                                   test::RunWithWorkers(unpipelined, 4));
 }
 
+// Every in-tree scheduler, named here rather than read from the registry:
+// the registry fills during static initialization, in an order this
+// translation unit cannot rely on.
 INSTANTIATE_TEST_SUITE_P(Schedulers, ChurnGoldenTest,
-                         ::testing::Values("bds", "fds"));
+                         ::testing::Values("bds", "fds", "direct",
+                                           "backpressure", "bds_sharded",
+                                           "fds_multiroot"));
 
 /// The TSan CI target: the same churn under larger pools, both epilogues.
 /// Any data race between the crash/replay machinery (serial, between
